@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
 from .linkbudget import (
     DEFAULT_CONSTANTS,
     LinkConfigError,
@@ -35,15 +34,14 @@ from .linkbudget import (
     rate_vs_distance,
     regime_summary,
 )
-from .noise import GAUSS, POISSON, NoiseModel, click_probs
+from .noise import GAUSS, POISSON, NoiseModel
 from .optimize import FLAG_OK, OOK, PPM, sweep_pie
 from .receiver import (
-    H,
     PatternFormatError,
     ReceiverConfig,
-    V,
     apply_receiver,
     concentration_efficiency,
+    detect_pattern,
     make_pattern,
     save_pattern,
 )
@@ -215,36 +213,18 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     )
 
     kinds = _model_kinds(args.model)
-    click_columns = {
-        kind: [
-            click_probs(NoiseModel(kind, args.n_b), e).p_p
-            for e in out_field.bin_energies()
-        ]
-        for kind in kinds
-    }
-
     columns = (
         ["bin", "in_re_h", "in_im_h", "in_re_v", "in_im_v"]
         + ["out_re_h", "out_im_h", "out_re_v", "out_im_v", "out_bin_energy"]
         + [f"click_prob_{kind}" for kind in kinds]
     )
-    rows = []
-    out_energies = out_field.bin_energies()
-    for i in range(pattern.n_bins):
-        row = [
-            i,
-            pattern.amps[i, H].real,
-            pattern.amps[i, H].imag,
-            pattern.amps[i, V].real,
-            pattern.amps[i, V].imag,
-            out_field.amps[i, H].real,
-            out_field.amps[i, H].imag,
-            out_field.amps[i, V].real,
-            out_field.amps[i, V].imag,
-            float(out_energies[i]),
-        ]
-        row += [click_columns[kind][i] for kind in kinds]
-        rows.append(row)
+    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
+    rows = np.column_stack(
+        [pattern.amps.view(float), out_field.amps.view(float), out_field.bin_energies()]
+        + [detect_pattern(out_field, NoiseModel(kind, args.n_b)) for kind in kinds]
+    ).tolist()
+    for i, row in enumerate(rows):
+        row.insert(0, i)
 
     params = {
         "k": args.k,

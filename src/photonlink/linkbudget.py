@@ -16,12 +16,15 @@ published link tables for the reference regimes below are based on;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
 from .noise import NoiseModel
-from .optimize import FLAG_BOUNDARY, FLAG_OK, SCHEMES, optimize_M
+from .optimize import FLAG_BOUNDARY, FLAG_OK, SCHEMES, _maximize
 
 
 @dataclass(frozen=True)
@@ -107,16 +110,28 @@ def load_link_params(path: str) -> LinkParams:
         raise LinkConfigError(f"{path}: {exc}") from None
 
 
+def _transmission(lp: LinkParams, distance_m, constants: Constants):
+    # eta_ch at ``distance_m``, a float or an array of distances
+    amplitude = math.pi * lp.d_t_m * lp.d_r_m * lp.f_c_hz / (4.0 * constants.c * distance_m)
+    return amplitude * amplitude
+
+
+def _photon_number(lp: LinkParams, eta_ch, constants: Constants):
+    return lp.eta_det * eta_ch * lp.power_w / (constants.h * lp.f_c_hz * lp.bandwidth_hz)
+
+
+def _peak_power(m_star, n_a, lp: LinkParams, eta_ch, constants: Constants):
+    return m_star * n_a * constants.h * lp.f_c_hz * lp.bandwidth_hz / (lp.eta_det * eta_ch)
+
+
 def channel_transmission(lp: LinkParams, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Power transmission eta_ch of the diffraction-limited channel."""
-    amplitude = math.pi * lp.d_t_m * lp.d_r_m * lp.f_c_hz / (4.0 * constants.c * lp.distance_m)
-    return amplitude * amplitude
+    return _transmission(lp, lp.distance_m, constants)
 
 
 def received_photon_number(lp: LinkParams, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Detected signal photons per bin, n_a = eta_det eta_ch P / (h f_c B)."""
-    eta_ch = channel_transmission(lp, constants)
-    return lp.eta_det * eta_ch * lp.power_w / (constants.h * lp.f_c_hz * lp.bandwidth_hz)
+    return _photon_number(lp, channel_transmission(lp, constants), constants)
 
 
 def noise_power_watts(
@@ -142,22 +157,34 @@ def transmitter_peak_power(
     Equals m_star * P_avg for a transmitter of average power P_avg, since
     the duty cycle is 1 / m_star.
     """
-    eta_ch = channel_transmission(lp, constants)
-    return m_star * n_a * constants.h * lp.f_c_hz * lp.bandwidth_hz / (lp.eta_det * eta_ch)
+    return _peak_power(m_star, n_a, lp, channel_transmission(lp, constants), constants)
 
 
 @dataclass(frozen=True)
 class DistanceRow:
-    """Optimized link performance at one distance."""
+    """Optimized link performance at one distance.
+
+    The Shannon and Holevo reference rates at the same (n_a, n_b) are
+    computed when first read, so a table that shows them once for several
+    schemes computes them once.
+    """
 
     distance_m: float
     n_a: float
     m_star: float
     rate_bps: float
     peak_power_w: float
-    shannon_rate_bps: float
-    holevo_rate_bps: float
     flag: str
+    n_b: float
+    bandwidth_hz: float
+
+    @cached_property
+    def shannon_rate_bps(self) -> float:
+        return shannon_capacity(PhotonNumbers(self.n_a, self.n_b)) * self.bandwidth_hz
+
+    @cached_property
+    def holevo_rate_bps(self) -> float:
+        return holevo_capacity(PhotonNumbers(self.n_a, self.n_b)) * self.bandwidth_hz
 
 
 def rate_vs_distance(
@@ -170,30 +197,38 @@ def rate_vs_distance(
     """Optimized data rate and peak power across a grid of link distances.
 
     Every row also carries the Shannon and Holevo reference rates at the
-    same (n_a, n_b) for comparison.  Distances are processed in the given
-    order; a boundary-pinned optimum flags the row instead of aborting.
+    same (n_a, n_b) for comparison.  All distances are optimized in one
+    batched search; rows keep the given order, and a boundary-pinned
+    optimum flags its row instead of aborting.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    rows = []
-    for distance_m in r_grid_m:
-        lp = replace(lp_template, distance_m=distance_m)
-        n_a = received_photon_number(lp, constants)
-        opt = optimize_M(n_a, noise, scheme)
-        pn = PhotonNumbers(n_a, noise.n_b)
-        rows.append(
-            DistanceRow(
-                distance_m=distance_m,
-                n_a=n_a,
-                m_star=opt.m_star,
-                rate_bps=opt.mi_per_bin * lp.bandwidth_hz,
-                peak_power_w=transmitter_peak_power(opt.m_star, n_a, lp, constants),
-                shannon_rate_bps=shannon_capacity(pn) * lp.bandwidth_hz,
-                holevo_rate_bps=holevo_capacity(pn) * lp.bandwidth_hz,
-                flag=FLAG_BOUNDARY if opt.at_boundary else FLAG_OK,
-            )
+    r_grid_m = list(r_grid_m)
+    r_m = np.array(r_grid_m, dtype=float)
+    bad = ~(np.isfinite(r_m) & (r_m > 0.0))
+    if bad.any():
+        raise ValueError(f"distance_m must be finite and > 0, got {r_grid_m[bad.argmax()]!r}")
+    eta_ch = _transmission(lp_template, r_m, constants)
+    n_a = _photon_number(lp_template, eta_ch, constants)
+    m_star, mi, at_boundary, failed = _maximize(n_a, np.full_like(n_a, noise.n_b), noise.kind, scheme)
+    if failed.any():
+        raise ValueError(f"no optimum for n_a = {n_a[failed.argmax()]!r} at this distance")
+    peak = _peak_power(m_star, n_a, lp_template, eta_ch, constants)
+    return [
+        DistanceRow(
+            distance_m=distance_m,
+            n_a=n_a_r,
+            m_star=m,
+            rate_bps=value * lp_template.bandwidth_hz,
+            peak_power_w=peak_r,
+            flag=FLAG_BOUNDARY if edge else FLAG_OK,
+            n_b=noise.n_b,
+            bandwidth_hz=lp_template.bandwidth_hz,
         )
-    return rows
+        for distance_m, n_a_r, m, value, peak_r, edge in zip(
+            r_grid_m, n_a.tolist(), m_star.tolist(), mi.tolist(), peak.tolist(), at_boundary.tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)

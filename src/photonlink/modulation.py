@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, click_probs
+from .noise import NoiseModel, _click_probs, _one, click_probs
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,53 @@ class MutualInfoResult:
     pie: float
 
 
+# smallest positive float: max(q, _TINY) is q for every q > 0
+_TINY = math.ulp(0.0)
+
+
+def _xlog2x(q: np.ndarray) -> np.ndarray:
+    # q * log2(q), which is 0 at q = 0 (as 0 * log2(_TINY))
+    return q * np.log2(np.maximum(q, _TINY))
+
+
+def _binary_entropy(x: np.ndarray) -> np.ndarray:
+    return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
+
+
+def _ppm_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
+    """PPM mutual information per bin, broadcast over m, n_a and n_b; no validation."""
+    p_b, p_p = _click_probs(kind, n_b, m * n_a)
+    no_click = 1.0 - p_b
+    m_1 = m - 1.0
+    q_c = p_p * np.power(no_click, m_1)
+    q_w = (1.0 - p_p) * p_b * np.power(no_click, m - 2.0)
+    wrong = m_1 * q_w
+    s = q_c + wrong
+    s_safe = np.where(s == 0.0, 1.0, s)  # s == 0 leaves both terms 0
+    i_frame = q_c * np.log2(np.maximum(q_c * m / s_safe, _TINY)) + wrong * np.log2(
+        np.maximum(q_w * m / s_safe, _TINY)
+    )
+    return np.maximum(np.where(p_p == p_b, 0.0, i_frame / m), 0.0)
+
+
+def _ook_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
+    """OOK mutual information per bin, broadcast over m, n_a and n_b; no validation."""
+    p_b, p_p = _click_probs(kind, n_b, m * n_a)
+    p_on = 1.0 / m
+    p_click = p_on * p_p + (1.0 - p_on) * p_b
+    mi = (
+        _binary_entropy(p_click)
+        - p_on * _binary_entropy(p_p)
+        - (1.0 - p_on) * _binary_entropy(p_b)
+    )
+    return np.maximum(np.where(p_p == p_b, 0.0, mi), 0.0)
+
+
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy requires 0 <= x <= 1, got {x!r}")
-    out = 0.0
-    for q in (x, 1.0 - x):
-        if q > 0.0:
-            out -= q * math.log2(q)
-    return out
+    return float(_binary_entropy(_one(x))[0])
 
 
 def _check_m(m: float, m_min: float) -> None:
@@ -50,10 +88,9 @@ def _check_n_a(n_a: float) -> None:
         raise ValueError(f"n_a must be finite and >= 0, got {n_a!r}")
 
 
-def _result(mi_per_bin: float, n_a: float) -> MutualInfoResult:
-    mi_per_bin = max(mi_per_bin, 0.0)
-    pie = mi_per_bin / n_a if n_a > 0.0 else 0.0
-    return MutualInfoResult(mi_per_bin=mi_per_bin, pie=pie)
+def _at_point(kernel, m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
+    mi = float(kernel(_one(m), _one(n_a), model.kind, _one(model.n_b))[0])
+    return MutualInfoResult(mi_per_bin=mi, pie=mi / n_a if n_a > 0.0 else 0.0)
 
 
 def ppm_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
@@ -73,24 +110,7 @@ def ppm_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
     """
     _check_m(m, 2.0)
     _check_n_a(n_a)
-    probs = click_probs(model, m * n_a)
-    p_b, p_p = probs.p_b, probs.p_p
-    if p_p == p_b:
-        return _result(0.0, n_a)
-
-    no_click = 1.0 - p_b
-    q_c = p_p * no_click ** (m - 1.0)
-    q_w = (1.0 - p_p) * p_b * no_click ** (m - 2.0)
-    s = q_c + (m - 1.0) * q_w
-    if s == 0.0:
-        return _result(0.0, n_a)
-
-    i_frame = 0.0
-    if q_c > 0.0:
-        i_frame += q_c * math.log2(q_c * m / s)
-    if q_w > 0.0:
-        i_frame += (m - 1.0) * q_w * math.log2(q_w * m / s)
-    return _result(i_frame / m, n_a)
+    return _at_point(_ppm_mi, m, n_a, model)
 
 
 def ook_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
@@ -110,19 +130,7 @@ def ook_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
     """
     _check_m(m, 1.0)
     _check_n_a(n_a)
-    probs = click_probs(model, m * n_a)
-    p_b, p_p = probs.p_b, probs.p_p
-    if p_p == p_b:
-        return _result(0.0, n_a)
-
-    p_on = 1.0 / m
-    p_click = p_on * p_p + (1.0 - p_on) * p_b
-    mi = (
-        binary_entropy(p_click)
-        - p_on * binary_entropy(p_p)
-        - (1.0 - p_on) * binary_entropy(p_b)
-    )
-    return _result(mi, n_a)
+    return _at_point(_ook_mi, m, n_a, model)
 
 
 def ppm_mi_enumeration_oracle(m: int, n_a: float, model: NoiseModel) -> float:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 POISSON = "poisson"
 GAUSS = "gauss"
 MODEL_KINDS = (POISSON, GAUSS)
@@ -59,6 +61,22 @@ class ClickProbabilities:
             raise ValueError(f"p_b must not exceed p_p: {self}")
 
 
+def _click_probs(kind: str, n_b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_b, p_p) broadcast over ``n_b`` and pulse energies ``e``; no validation."""
+    if kind == POISSON:
+        return -np.expm1(-n_b), -np.expm1(-e - n_b)
+    # algebraically 1 - exp(-e_p/(n_b+1))/(n_b+1), arranged so that
+    # n_b = 0 reproduces the Poissonian expressions bit for bit
+    t = n_b + 1.0
+    return n_b / t, (n_b - np.expm1(-e / t)) / t
+
+
+def _one(x: float) -> np.ndarray:
+    # scalars go through the array kernels as one-element arrays, so a point
+    # and a grid run the same numpy loops and give the same bits
+    return np.array([x], dtype=float)
+
+
 def click_probs(model: NoiseModel, pulse_energy: float) -> ClickProbabilities:
     """Click probabilities for an empty bin and for a bin carrying a pulse.
 
@@ -71,14 +89,5 @@ def click_probs(model: NoiseModel, pulse_energy: float) -> ClickProbabilities:
     """
     if not math.isfinite(pulse_energy) or pulse_energy < 0.0:
         raise ValueError(f"pulse_energy must be finite and >= 0, got {pulse_energy!r}")
-    n_b = model.n_b
-    if model.kind == POISSON:
-        p_b = -math.expm1(-n_b)
-        p_p = -math.expm1(-pulse_energy - n_b)
-    else:
-        # algebraically 1 - exp(-e_p/(n_b+1))/(n_b+1), arranged so that
-        # n_b = 0 reproduces the Poissonian expressions bit for bit
-        t = n_b + 1.0
-        p_b = n_b / t
-        p_p = (n_b - math.expm1(-pulse_energy / t)) / t
-    return ClickProbabilities(p_b=p_b, p_p=p_p)
+    p_b, p_p = _click_probs(model.kind, _one(model.n_b), _one(pulse_energy))
+    return ClickProbabilities(p_b=float(p_b[0]), p_p=float(p_p[0]))

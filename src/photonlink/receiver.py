@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .noise import NoiseModel, click_probs
+from .noise import NoiseModel, _click_probs
 
 H = 0
 V = 1
@@ -182,9 +182,7 @@ def detect_pattern(pattern: FieldPattern, model: NoiseModel) -> np.ndarray:
     Each bin sees the combined energy of both polarizations as its pulse
     energy on top of the model background.
     """
-    return np.array(
-        [click_probs(model, e).p_p for e in pattern.bin_energies()]
-    )
+    return _click_probs(model.kind, model.n_b, pattern.bin_energies())[1]
 
 
 def concentration_efficiency(

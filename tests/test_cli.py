@@ -6,16 +6,23 @@ inspects exit codes, files written to ``tmp_path``, or captured output.
 
 import csv
 import math
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from photonlink import cli
+from photonlink import capacity, cli
 from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
-from photonlink.noise import poissonian
+from photonlink.noise import NoiseModel, poissonian
 from photonlink.optimize import OOK, PPM
-from photonlink.receiver import load_pattern, make_pattern
+from photonlink.receiver import (
+    ReceiverConfig,
+    apply_receiver,
+    detect_pattern,
+    load_pattern,
+    make_pattern,
+)
 
 OPTICAL_VALUES = {
     "f_c_hz": "2e14",
@@ -222,6 +229,24 @@ class TestLink:
         assert len(rows) == 29
         assert all(row["flag_ppm"] == "ok" and row["flag_ook"] == "ok" for row in rows)
 
+    def test_reference_rates_computed_once_per_row(self, tmp_path, monkeypatch):
+        # count every evaluation, wherever the package looks the functions up
+        calls = {"shannon_capacity": 0, "holevo_capacity": 0}
+        for name in calls:
+            original = getattr(capacity, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("photonlink") and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, rows = run_to_file(["link"], tmp_path / "link.csv")
+        assert code == 0
+        assert len(rows) == 29
+        assert calls == {"shannon_capacity": 29, "holevo_capacity": 29}
+
     def test_rate_falls_with_distance(self, tmp_path):
         _, _, rows = run_to_file(
             ["link", "--schemes", "ppm", "--r-au-grid", "1", "100", "5"],
@@ -257,6 +282,20 @@ class TestReceiverCommand:
                 assert float(row["out_bin_energy"]) == pytest.approx(1.0, rel=1e-12)
             else:
                 assert prob < 1e-12
+
+    def test_click_columns_are_detect_pattern(self, tmp_path):
+        argv = ["--k", "5", "--target-bin", "7", "--energy", "2.5", "--loss", "0.93"]
+        argv += ["--phase-sigma", "0.1", "--seed", "3", "--n-b", "0.02", "--model", "both"]
+        code, _, rows = run_to_file(["receiver"] + argv, tmp_path / "rx.csv")
+        assert code == 0
+        cfg = ReceiverConfig(k=5, per_module_loss=0.93, phase_error_sigma=0.1, rng_seed=3)
+        out_field = apply_receiver(make_pattern(5, 7, 2.5), cfg)
+        # the CLI writes floats with repr, so the round trip is exact
+        energies = [float(row["out_bin_energy"]) for row in rows]
+        assert energies == out_field.bin_energies().tolist()
+        for kind in ("poisson", "gauss"):
+            column = [float(row[f"click_prob_{kind}"]) for row in rows]
+            assert column == detect_pattern(out_field, NoiseModel(kind, 0.02)).tolist()
 
     def test_scheduling_note_goes_to_stderr(self, capsys):
         assert cli.main(["receiver", "--k", "1"]) == 0
