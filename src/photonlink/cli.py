@@ -160,6 +160,9 @@ def cmd_link(args: argparse.Namespace) -> int:
     r_grid_au = _log_grid(*args.r_au_grid)
     r_grid_m = r_grid_au * DEFAULT_CONSTANTS.au_m
     schemes = args.schemes
+    repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]
+    if repeated:
+        raise ValueError(f"scheme {repeated[0]!r} given more than once in --schemes")
     kinds = _model_kinds(args.model)
 
     columns = ["model", "r_au", "n_a"]
@@ -208,9 +211,7 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     )
     pattern = make_pattern(args.k, args.target_bin, args.energy)
     out_field = apply_receiver(pattern, cfg)
-    mean, std = concentration_efficiency(
-        cfg, args.trials, target_bin=args.target_bin, total_energy=args.energy
-    )
+    mean, std = concentration_efficiency(cfg, args.trials)
 
     kinds = _model_kinds(args.model)
     columns = (

@@ -158,7 +158,8 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
     lo, hi = math.log(m_min), math.log(m_max)
     m_grid = np.exp(lo + (hi - lo) * np.arange(coarse_points) / (coarse_points - 1))
     m_first = np.concatenate(([m_min], m_grid))
-    tol = math.log1p(rel_tol)
+    # a bracket on the log axis stops shrinking at about one ulp of log M
+    tol = max(math.log1p(rel_tol), 4.0 * math.ulp(hi))
     n_a, n_b = np.asarray(n_a, dtype=float), np.asarray(n_b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = ~((n_a > 0.0) & np.isfinite(n_a * m_max))
@@ -211,7 +212,10 @@ def optimize_M(
         scheme: "ppm" or "ook".
         m_max: upper end of the search range.
         coarse_points: size of the initial logarithmic grid, >= 200.
-        rel_tol: relative width of the final golden-section bracket, > 0.
+        rel_tol: relative width of the final golden-section bracket, > 0;
+            a value below the float resolution of log M (4 ulps of
+            log(m_max), about 1.4e-14 at the default m_max) searches to
+            that resolution instead.
 
     Returns:
         ModulationOptimum; ``at_boundary`` is set when the coarse scan puts

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,11 @@ def apply_module(
     return FieldPattern(out)
 
 
+def _phase_errors(cfg: ReceiverConfig, seed: int) -> np.ndarray:
+    """Per-module phase errors of the realization drawn with ``seed``."""
+    return np.random.default_rng(seed).normal(0.0, cfg.phase_error_sigma, size=cfg.k)
+
+
 def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
     """Run a field pattern through the full cascade described by ``cfg``.
 
@@ -136,8 +141,7 @@ def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
         raise ValueError(
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
-    rng = np.random.default_rng(cfg.rng_seed)
-    phases = rng.normal(0.0, cfg.phase_error_sigma, size=cfg.k)
+    phases = _phase_errors(cfg, cfg.rng_seed)
     out = pattern
     for i in range(1, cfg.k + 1):
         out = apply_module(out, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
@@ -185,31 +189,26 @@ def detect_pattern(pattern: FieldPattern, model: NoiseModel) -> np.ndarray:
     return _click_probs(model.kind, model.n_b, pattern.bin_energies())[1]
 
 
-def concentration_efficiency(
-    cfg: ReceiverConfig,
-    trials: int,
-    target_bin: int = 0,
-    total_energy: float = 1.0,
-) -> tuple[float, float]:
+def concentration_efficiency(cfg: ReceiverConfig, trials: int) -> tuple[float, float]:
     """Monte Carlo estimate of the energy fraction reaching the target port.
 
-    Runs the codebook pattern for ``target_bin`` through ``trials``
-    independent receiver realizations and measures the fraction of the
-    output energy arriving in the designed output port (``target_bin``, H).
-    Trial ``t`` uses seed ``cfg.rng_seed + t``, so results do not depend on
-    execution order and are fully deterministic; with zero phase-error
-    spread every trial is identical.
+    In one realization module ``i``'s two arms interfere with relative
+    phase error phi_i, so a codebook pattern sends exactly
+    prod_i cos^2(phi_i / 2) of the output energy into its designed port
+    (target bin, H).  That fraction does not depend on the target bin, and
+    the total energy and the uniform per-module loss scale every port
+    alike and cancel, so neither appears here.  Trial ``t`` draws the
+    phases of ``apply_receiver`` with seed ``cfg.rng_seed + t``, so it is
+    that simulation's fraction up to rounding, independent of execution
+    order; with zero phase-error spread every fraction is exactly 1.
 
     Returns:
         (mean, std) of the fraction over trials.
     """
     if int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    pattern = make_pattern(cfg.k, target_bin, total_energy)
-    fractions = np.empty(int(trials))
-    for t in range(int(trials)):
-        out = apply_receiver(pattern, replace(cfg, rng_seed=cfg.rng_seed + t))
-        fractions[t] = abs(out.amps[target_bin, H]) ** 2 / out.energy()
+    phases = np.array([_phase_errors(cfg, cfg.rng_seed + t) for t in range(int(trials))])
+    fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
     return float(fractions.mean()), float(fractions.std())
 
 
@@ -241,9 +240,7 @@ def load_pattern(path: str) -> FieldPattern:
         raise PatternFormatError(f"{path}:1: expected '# k = <int> energy = <float>' header")
     k = int(match.group(1))
     energy = float(match.group(2))
-    n = 1 << k
-    amps = np.zeros((n, 2), dtype=np.complex128)
-    row = 0
+    rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -256,14 +253,14 @@ def load_pattern(path: str) -> FieldPattern:
             re_h, im_h, re_v, im_v = (float(x) for x in fields[1:])
         except ValueError:
             raise PatternFormatError(f"{path}:{lineno}: malformed row") from None
-        if i != row:
-            raise PatternFormatError(f"{path}:{lineno}: expected bin_index {row}, got {i}")
-        amps[i, H] = complex(re_h, im_h)
-        amps[i, V] = complex(re_v, im_v)
-        row += 1
-    if row != n:
-        raise PatternFormatError(f"{path}: expected {n} rows for k = {k}, got {row}")
-    pattern = FieldPattern(amps)
+        if i != len(rows):
+            raise PatternFormatError(f"{path}:{lineno}: expected bin_index {len(rows)}, got {i}")
+        rows.append((complex(re_h, im_h), complex(re_v, im_v)))
+    n = len(rows)
+    # n == 2**k, tested without forming 2**k from the unchecked header
+    if n & (n - 1) or n.bit_length() - 1 != k:
+        raise PatternFormatError(f"{path}: expected 2**{k} rows for k = {k}, got {n}")
+    pattern = FieldPattern(np.array(rows, dtype=np.complex128))
     if not math.isclose(pattern.energy(), energy, rel_tol=1e-9, abs_tol=0.0):
         raise PatternFormatError(
             f"{path}: header energy {energy!r} does not match row data ({pattern.energy()!r})"

@@ -265,6 +265,12 @@ class TestLink:
             cli.main(["link", "--schemes", "qam"])
         assert excinfo.value.code == 2
 
+    def test_rejects_repeated_scheme(self, tmp_path, capsys):
+        out = tmp_path / "link.csv"
+        assert cli.main(["link", "--schemes", "ook", "ppm", "ppm", "--out", str(out)]) == 2
+        assert "'ppm' given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReceiverCommand:
     def test_ideal_run_concentrates_on_the_target(self, tmp_path):

@@ -1,10 +1,15 @@
 """Tests for the frame-length optimizer and the efficiency sweep driver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonlink
 from photonlink.capacity import holevo_pie_asymptote
 from photonlink.modulation import ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import MODEL_KINDS, NoiseModel, gaussian, poissonian
@@ -119,6 +124,30 @@ class TestOptimizeM:
         opt = optimize_M(1e-12, poissonian(0.0), PPM)
         assert opt.at_boundary
         assert opt.m_star == pytest.approx(1e9, rel=1e-6)
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        # M* is near 1e9, where one ulp of log M (3.6e-15) exceeds rel_tol;
+        # a child process turns a search that never ends into a failure
+        code = (
+            "from photonlink.noise import poissonian\n"
+            "from photonlink.optimize import optimize_M\n"
+            "for n_b in (0.0, 1e-6):\n"
+            "    print(repr(optimize_M(1e-10, poissonian(n_b), 'ook', rel_tol=1e-15).mi_per_bin))\n"
+        )
+        path = os.pathsep.join(
+            filter(None, [str(Path(photonlink.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        fine = [float(value) for value in result.stdout.split()]
+        default = [optimize_M(1e-10, poissonian(n_b), OOK).mi_per_bin for n_b in (0.0, 1e-6)]
+        assert fine == pytest.approx(default, rel=1e-9)
 
 
 class TestOokLowSignalRegression:

@@ -1,6 +1,7 @@
 """Tests for the structured-receiver simulation and its pattern codebook."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,9 +248,37 @@ class TestDetectPattern:
 
 class TestConcentrationEfficiency:
     def test_ideal_receiver_is_lossless_and_deterministic(self):
-        mean, std = concentration_efficiency(ReceiverConfig(k=4), trials=8, target_bin=3)
+        mean, std = concentration_efficiency(ReceiverConfig(k=4), trials=8)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert std == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 90210])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("loss", [1.0, 0.9])
+    @pytest.mark.parametrize("k", [1, 3, 6, 10])
+    def test_matches_jones_oracle_trial_by_trial(self, k, loss, sigma, seed):
+        # trial t is apply_receiver with seed rng_seed + t, whatever the
+        # codebook entry and energy sent through it; a one-trial run
+        # started at seed + t returns that trial's fraction as its mean
+        trials = 4
+        n = 1 << k
+        cfg = ReceiverConfig(k=k, per_module_loss=loss, phase_error_sigma=sigma, rng_seed=seed)
+        closed = [
+            concentration_efficiency(replace(cfg, rng_seed=seed + t), 1)[0]
+            for t in range(trials)
+        ]
+        for target, energy in ((0, 1.0), (n - 1, 1e-2), (n // 3, 7.5)):
+            pattern = make_pattern(k, target, energy)
+            jones = []
+            for t in range(trials):
+                out = apply_receiver(pattern, replace(cfg, rng_seed=seed + t))
+                jones.append(abs(out.amps[target, H]) ** 2 / out.energy())
+            assert closed == pytest.approx(jones, rel=0.0, abs=1e-12)
+        mean, std = concentration_efficiency(cfg, trials)
+        assert mean == pytest.approx(np.mean(jones), rel=0.0, abs=1e-12)
+        assert std == pytest.approx(np.std(jones), rel=0.0, abs=1e-12)
+        if sigma == 0.0:
+            assert (mean, std) == (1.0, 0.0)
 
     def test_repeatable_for_fixed_seed(self):
         cfg = ReceiverConfig(k=3, phase_error_sigma=0.4, rng_seed=17)
@@ -304,6 +333,14 @@ class TestPatternIO:
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("# k = 2 energy = 1.0\n0 1 0 0 0\n", encoding="utf-8")
+        with pytest.raises(PatternFormatError, match="rows"):
+            load_pattern(str(path))
+
+    @pytest.mark.parametrize("k, n_rows", [(62, 2), (100, 2), (1, 3), (3, 0)])
+    def test_header_k_must_match_row_count(self, tmp_path, k, n_rows):
+        path = tmp_path / "count.txt"
+        rows = "".join(f"{i} 1 0 0 0\n" for i in range(n_rows))
+        path.write_text(f"# k = {k} energy = {float(n_rows)!r}\n{rows}", encoding="utf-8")
         with pytest.raises(PatternFormatError, match="rows"):
             load_pattern(str(path))
 
