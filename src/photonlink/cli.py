@@ -54,12 +54,6 @@ SEPARATION_NOTE = (
 )
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):  # includes numpy scalars, hence the cast
-        return repr(float(value))
-    return str(value)
-
-
 def _write_table(
     out_path: str | None,
     command: str,
@@ -72,7 +66,7 @@ def _write_table(
         lines.append(f"# {key} = {value}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+        lines.append(",".join(map(str, row)))
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -179,7 +173,7 @@ def cmd_link(args: argparse.Namespace) -> int:
         }
         for i, r_au in enumerate(r_grid_au):
             first = by_scheme[schemes[0]][i]
-            row = [kind, float(r_au), first.n_a]
+            row = [kind, r_au, first.n_a]
             for scheme in schemes:
                 sr = by_scheme[scheme][i]
                 if sr.flag != FLAG_OK:

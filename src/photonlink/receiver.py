@@ -125,23 +125,24 @@ def apply_module(
     return FieldPattern(out)
 
 
-def _phase_errors(cfg: ReceiverConfig, seed: int) -> np.ndarray:
-    """Per-module phase errors of the realization drawn with ``seed``."""
-    return np.random.default_rng(seed).normal(0.0, cfg.phase_error_sigma, size=cfg.k)
+def _phase_errors(cfg: ReceiverConfig, trials: int) -> np.ndarray:
+    """Phase errors of ``trials`` realizations, shape (trials, k): row ``t``
+    is draws t*k ... t*k + k - 1 of one stream seeded with ``cfg.rng_seed``."""
+    return np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, (trials, cfg.k))
 
 
 def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
     """Run a field pattern through the full cascade described by ``cfg``.
 
     Module ``i`` (1-based) uses delay n_bins / 2**i, so the last module has
-    delay 1.  Phase errors are drawn once per module from a generator
-    seeded with ``cfg.rng_seed``; sigma = 0 gives the ideal phases exactly.
+    delay 1.  Its phase errors are trial 0 of ``concentration_efficiency``
+    with the same ``cfg``; sigma = 0 gives the ideal phases exactly.
     """
     if pattern.n_bins != 1 << cfg.k:
         raise ValueError(
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
-    phases = _phase_errors(cfg, cfg.rng_seed)
+    phases = _phase_errors(cfg, 1)[0]
     out = pattern
     for i in range(1, cfg.k + 1):
         out = apply_module(out, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
@@ -197,17 +198,16 @@ def concentration_efficiency(cfg: ReceiverConfig, trials: int) -> tuple[float, f
     prod_i cos^2(phi_i / 2) of the output energy into its designed port
     (target bin, H).  That fraction does not depend on the target bin, and
     the total energy and the uniform per-module loss scale every port
-    alike and cancel, so neither appears here.  Trial ``t`` draws the
-    phases of ``apply_receiver`` with seed ``cfg.rng_seed + t``, so it is
-    that simulation's fraction up to rounding, independent of execution
-    order; with zero phase-error spread every fraction is exactly 1.
+    alike and cancel, so neither appears here.  Trial ``t`` uses row ``t``
+    of ``_phase_errors(cfg, trials)``, so trial 0 is the realization that
+    ``apply_receiver`` simulates; zero phase-error spread gives exactly 1.
 
     Returns:
         (mean, std) of the fraction over trials.
     """
     if int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    phases = np.array([_phase_errors(cfg, cfg.rng_seed + t) for t in range(int(trials))])
+    phases = _phase_errors(cfg, int(trials))
     fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
     return float(fractions.mean()), float(fractions.std())
 

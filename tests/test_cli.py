@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from photonlink import capacity, cli
+from photonlink import __version__, capacity, cli
 from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
 from photonlink.noise import NoiseModel, poissonian
 from photonlink.optimize import OOK, PPM
@@ -66,6 +66,23 @@ def run_to_file(argv, path):
     code = cli.main(argv + ["--out", str(path)])
     meta, rows = parse_table(path.read_text(encoding="utf-8"))
     return code, meta, rows
+
+
+class TestWriteTable:
+    def test_cells_are_written_with_str(self, tmp_path):
+        out = tmp_path / "table.csv"
+        rows = [
+            [np.float64(0.1), 0.1, np.float64(5e-324), 1e16, 7, "ok"],
+            [np.float64(-0.0), 2.5e-310, np.float64(1e16), 1e-5, -3, "boundary"],
+        ]
+        cli._write_table(str(out), "demo", {"n_b": 0.01}, list("abcdef"), rows)
+        assert out.read_text(encoding="utf-8") == (
+            f"# photonlink {__version__} demo\n"
+            "# n_b = 0.01\n"
+            "a,b,c,d,e,f\n"
+            "0.1,0.1,5e-324,1e+16,7,ok\n"
+            "-0.0,2.5e-310,1e+16,1e-05,-3,boundary\n"
+        )
 
 
 class TestTable1:

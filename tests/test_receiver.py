@@ -1,7 +1,6 @@
 """Tests for the structured-receiver simulation and its pattern codebook."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,28 +256,56 @@ class TestConcentrationEfficiency:
     @pytest.mark.parametrize("loss", [1.0, 0.9])
     @pytest.mark.parametrize("k", [1, 3, 6, 10])
     def test_matches_jones_oracle_trial_by_trial(self, k, loss, sigma, seed):
-        # trial t is apply_receiver with seed rng_seed + t, whatever the
-        # codebook entry and energy sent through it; a one-trial run
-        # started at seed + t returns that trial's fraction as its mean
+        # trial t chains the modules with row t of one (trials, k) draw
+        # seeded with rng_seed, whatever the codebook entry and energy sent
+        # through it; trial 0 is apply_receiver's field exactly.  Rows do
+        # not depend on the trial count, so the statistics of the first
+        # t + 1 trials pin trial t
         trials = 4
         n = 1 << k
         cfg = ReceiverConfig(k=k, per_module_loss=loss, phase_error_sigma=sigma, rng_seed=seed)
-        closed = [
-            concentration_efficiency(replace(cfg, rng_seed=seed + t), 1)[0]
-            for t in range(trials)
-        ]
+        phases = np.random.default_rng(seed).normal(0.0, sigma, (trials, k))
+        closed = [concentration_efficiency(cfg, t + 1) for t in range(trials)]
         for target, energy in ((0, 1.0), (n - 1, 1e-2), (n // 3, 7.5)):
             pattern = make_pattern(k, target, energy)
             jones = []
             for t in range(trials):
-                out = apply_receiver(pattern, replace(cfg, rng_seed=seed + t))
+                out = pattern
+                for i in range(1, k + 1):
+                    out = apply_module(out, n >> i, phases[t, i - 1], loss)
+                if t == 0:
+                    assert np.array_equal(out.amps, apply_receiver(pattern, cfg).amps)
                 jones.append(abs(out.amps[target, H]) ** 2 / out.energy())
-            assert closed == pytest.approx(jones, rel=0.0, abs=1e-12)
-        mean, std = concentration_efficiency(cfg, trials)
-        assert mean == pytest.approx(np.mean(jones), rel=0.0, abs=1e-12)
-        assert std == pytest.approx(np.std(jones), rel=0.0, abs=1e-12)
+            for t, (mean, std) in enumerate(closed):
+                assert mean == pytest.approx(np.mean(jones[: t + 1]), rel=0.0, abs=1e-12)
+                assert std == pytest.approx(np.std(jones[: t + 1]), rel=0.0, abs=1e-12)
         if sigma == 0.0:
-            assert (mean, std) == (1.0, 0.0)
+            assert closed[-1] == (1.0, 0.0)
+
+    def test_one_generator_per_run(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        concentration_efficiency(ReceiverConfig(k=6, phase_error_sigma=0.3, rng_seed=5), 2048)
+        assert made == [(5,)]
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("k", [1, 3, 10, 16])
+    def test_mean_within_six_standard_errors_of_exact(self, k, sigma):
+        # each trial is a product of k independent cos^2(phi/2), phi ~ N(0,
+        # sigma^2), whose mean m2 and second moment m4 are exact
+        trials = 20000
+        m2 = (1.0 + math.exp(-sigma**2 / 2.0)) / 2.0
+        m4 = (1.5 + 2.0 * math.exp(-sigma**2 / 2.0) + math.exp(-2.0 * sigma**2) / 2.0) / 4.0
+        std_err = math.sqrt((m4**k - m2 ** (2 * k)) / trials)
+        cfg = ReceiverConfig(k=k, phase_error_sigma=sigma, rng_seed=1000 + k)
+        mean, _ = concentration_efficiency(cfg, trials)
+        assert abs(mean - m2**k) <= 6.0 * std_err
 
     def test_repeatable_for_fixed_seed(self):
         cfg = ReceiverConfig(k=3, phase_error_sigma=0.4, rng_seed=17)
