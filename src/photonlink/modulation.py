@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, _click_probs, _one, click_probs
+from .noise import NoiseModel, _click_split, _one, click_probs
 
 
 @dataclass(frozen=True)
@@ -31,44 +31,87 @@ class MutualInfoResult:
 
 # smallest positive float: max(q, _TINY) is q for every q > 0
 _TINY = math.ulp(0.0)
-
-
-def _xlog2x(q: np.ndarray) -> np.ndarray:
-    # q * log2(q), which is 0 at q = 0 (as 0 * log2(_TINY))
-    return q * np.log2(np.maximum(q, _TINY))
+_LOG2_E = 1.0 / math.log(2.0)
+# Below _SERIES_T a term comes from 6 terms of the series of phi(t) / t^2 or
+# g(t) / t^2 (see _information), < 4e-15 relative off; above it log1p(t)
+# costs about 1e-15 / t.  Highest power first, shaped for (2, h, points).
+_SERIES_T = 0.005
+_SERIES = np.array([[(-1) ** j / (j + 2) / (j + 1), (-1) ** j / (j + 2)] for j in range(5, -1, -1)])
+_SERIES = _SERIES.reshape(-1, 2, 1, 1)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
+    # a q log2(q) term is 0 at q = 0, as 0 * log2(_TINY)
+    y = 1.0 - x
+    return 0.0 - x * np.log2(np.maximum(x, _TINY)) - y * np.log2(np.maximum(y, _TINY))
+
+
+def _information(base: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mutual information in nats from the cells of a joint distribution.
+
+    Joint cells differ from the products of their marginals by +-k >= 0.
+    ``base`` (shape (2, h) + k.shape, overwritten) holds in base[0] the
+    products q of h cells whose joint is q + k, in base[1] the joints p of h
+    cells whose product is p + k.  With t = k / base the information is the
+    sum of q phi(t) and p g(t), phi(t) = (1 + t) log1p(t) - t, g(t) = t -
+    log1p(t): no term is negative, so none cancels another.
+    """
+    shape, k, base = k.shape, k.reshape(-1), base.reshape(2, len(base[0]), -1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # 0 / 0 is a cell with no mass; log1p is slow at the float maximum,
+        # and a base below 1e-300 k leaves its term k to the last digit
+        t = np.fmin(k / base, 1e300)
+        series = _SERIES[0] * t
+        for c in _SERIES[1:]:
+            series += c
+            series *= t
+        series *= k
+    small = t < _SERIES_T
+    log1p_t = np.log1p(t, out=t)
+    np.subtract((base[0] + k) * log1p_t[0], k, out=base[0])
+    np.subtract(k, base[1] * log1p_t[1], out=base[1])
+    np.copyto(base, series, where=small)
+    return base.sum(axis=(0, 1)).reshape(shape)
 
 
 def _ppm_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
-    """PPM mutual information per bin, broadcast over m, n_a and n_b; no validation."""
-    p_b, p_p = _click_probs(kind, n_b, m * n_a)
-    no_click = 1.0 - p_b
+    """PPM mutual information per bin, broadcast over m, n_a and n_b; no validation.
+
+    Per frame and in units of q_c, the right decision (1) and the wrong ones
+    (w = (m - 1) q_w / q_c) exceed and fall short of their marginal products
+    s / m and (m - 1) s / m, s = 1 + w, by k = (m - 1)(1 - q_w / q_c) / m,
+    where 1 - q_w / q_c = -expm1(log w) / p_p exactly (noise._click_split).
+    """
+    p_b, c_b, log_c_b, log_w = _click_split(kind, n_b, m * n_a)
+    w_1 = np.expm1(log_w)
+    p_p = p_b - c_b * w_1
+    p_p_safe = np.maximum(p_p, _TINY)  # p_p = 0 only where k = 0
     m_1 = m - 1.0
-    q_c = p_p * np.power(no_click, m_1)
-    q_w = (1.0 - p_p) * p_b * np.power(no_click, m - 2.0)
-    wrong = m_1 * q_w
-    s = q_c + wrong
-    s_safe = np.where(s == 0.0, 1.0, s)  # s == 0 leaves both terms 0
-    i_frame = q_c * np.log2(np.maximum(q_c * m / s_safe, _TINY)) + wrong * np.log2(
-        np.maximum(q_w * m / s_safe, _TINY)
-    )
-    return np.maximum(np.where(p_p == p_b, 0.0, i_frame / m), 0.0)
+    k = w_1 * (-m_1 / m) / p_p_safe
+    base = np.empty((2, 1) + k.shape)
+    wrong = np.divide(m_1 * np.exp(log_w) * p_b, p_p_safe, out=base[1, 0])
+    np.divide(1.0 + wrong, m, out=base[0, 0])
+    return p_p * np.exp(m_1 * log_c_b) * _information(base, k) * (_LOG2_E / m)
 
 
 def _ook_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
-    """OOK mutual information per bin, broadcast over m, n_a and n_b; no validation."""
-    p_b, p_p = _click_probs(kind, n_b, m * n_a)
-    p_on = 1.0 / m
-    p_click = p_on * p_p + (1.0 - p_on) * p_b
-    mi = (
-        _binary_entropy(p_click)
-        - p_on * _binary_entropy(p_p)
-        - (1.0 - p_on) * _binary_entropy(p_b)
-    )
-    return np.maximum(np.where(p_p == p_b, 0.0, mi), 0.0)
+    """OOK mutual information per bin, broadcast over m, n_a and n_b; no validation.
+
+    The (pulse, click) cells p_on p_p and p_off (1 - p_b) exceed the
+    products of their marginals by k = p_on p_off (p_p - p_b), and the cells
+    p_on (1 - p_p) and p_off p_b fall short of them by k.
+    """
+    p_b, c_b, _, log_w = _click_split(kind, n_b, m * n_a)
+    p_on, p_off = 1.0 / m, (m - 1.0) / m
+    on_gap = c_b * np.expm1(log_w) * -p_on  # p_on (p_p - p_b)
+    k = p_off * on_gap
+    base = np.empty((2, 2) + k.shape)
+    on_dark, off_click = base[1]
+    np.multiply(p_on * c_b, np.exp(log_w), out=on_dark)
+    np.multiply(p_off, p_b, out=off_click)
+    np.multiply(p_on, p_b + on_gap, out=base[0, 0])
+    np.multiply(p_off, on_dark + p_off * c_b, out=base[0, 1])
+    return _information(base, k) * _LOG2_E
 
 
 def binary_entropy(x: float) -> float:

@@ -71,6 +71,18 @@ def _click_probs(kind: str, n_b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray,
     return n_b / t, (n_b - np.expm1(-e / t)) / t
 
 
+def _click_split(kind: str, n_b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(p_b, 1 - p_b, log(1 - p_b), log w) broadcast over ``n_b`` and ``e``.
+
+    A pulsed bin stays dark with probability (1 - p_b) w, log w = -e (poisson)
+    or -e / (n_b + 1) (gauss), so 1 - p_p and p_p - p_b = -(1 - p_b)
+    expm1(log w) follow without rounding to 1."""
+    if kind == POISSON:
+        return -np.expm1(-n_b), np.exp(-n_b), -n_b, -e
+    t = n_b + 1.0
+    return n_b / t, 1.0 / t, -np.log1p(n_b), e / -t
+
+
 def _one(x: float) -> np.ndarray:
     # scalars go through the array kernels as one-element arrays, so a point
     # and a grid run the same numpy loops and give the same bits

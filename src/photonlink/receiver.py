@@ -31,6 +31,8 @@ H = 0
 V = 1
 
 _SQRT_HALF = math.sqrt(0.5)
+# trials drawn and summarized at once, which bounds the memory of a run
+_TRIAL_CHUNK = 1 << 17
 
 
 class PatternFormatError(ValueError):
@@ -125,10 +127,13 @@ def apply_module(
     return FieldPattern(out)
 
 
-def _phase_errors(cfg: ReceiverConfig, trials: int) -> np.ndarray:
-    """Phase errors of ``trials`` realizations, shape (trials, k): row ``t``
-    is draws t*k ... t*k + k - 1 of one stream seeded with ``cfg.rng_seed``."""
-    return np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, (trials, cfg.k))
+def _phase_errors(cfg: ReceiverConfig, trials: int):
+    """Phase errors of ``trials`` realizations, as (rows, k) arrays of at
+    most ``_TRIAL_CHUNK`` rows: row ``t`` of them all is draws
+    t*k ... t*k + k - 1 of one stream seeded with ``cfg.rng_seed``."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        yield rng.normal(0.0, cfg.phase_error_sigma, (min(_TRIAL_CHUNK, trials - start), cfg.k))
 
 
 def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
@@ -142,7 +147,7 @@ def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
         raise ValueError(
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
-    phases = _phase_errors(cfg, 1)[0]
+    phases = next(_phase_errors(cfg, 1))[0]
     out = pattern
     for i in range(1, cfg.k + 1):
         out = apply_module(out, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
@@ -201,15 +206,24 @@ def concentration_efficiency(cfg: ReceiverConfig, trials: int) -> tuple[float, f
     alike and cancel, so neither appears here.  Trial ``t`` uses row ``t``
     of ``_phase_errors(cfg, trials)``, so trial 0 is the realization that
     ``apply_receiver`` simulates; zero phase-error spread gives exactly 1.
+    Beyond ``_TRIAL_CHUNK`` trials the mean and std are merged from
+    chunks, which can move their last digits.
 
     Returns:
         (mean, std) of the fraction over trials.
     """
     if int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    phases = _phase_errors(cfg, int(trials))
-    fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
-    return float(fractions.mean()), float(fractions.std())
+    chunks = []
+    for phases in _phase_errors(cfg, int(trials)):
+        fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
+        if len(fractions) == trials:
+            return float(fractions.mean()), float(fractions.std())
+        chunks.append((len(fractions), fractions.mean(), fractions.var()))
+    # the run's variance is the mean chunk variance plus that of the chunk means
+    n, means, variances = np.array(chunks).T
+    mean = n @ means / trials
+    return float(mean), math.sqrt((n @ variances + n @ (means - mean) ** 2) / trials)
 
 
 _HEADER_RE = re.compile(

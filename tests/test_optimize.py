@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import mp_reference
 import photonlink
 from photonlink.capacity import holevo_pie_asymptote
-from photonlink.modulation import ook_mi_per_bin, ppm_mi_per_bin
+from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import MODEL_KINDS, NoiseModel, gaussian, poissonian
 from photonlink.optimize import (
     FLAG_BOUNDARY,
@@ -24,10 +26,17 @@ from photonlink.optimize import (
     sweep_pie,
 )
 
-# regression values produced by this optimizer (deterministic search); the
-# objective is flat near the optimum, so the argument gets a looser window
-# than the attained efficiency
-PPM_M_STAR_NB01 = {1e-5: 97.94805538885097, 1e-6: 100.66895647758692, 1e-7: 100.98679795039986}
+# Independent optima of PPM, Poisson n_b = 1e-2, at the float n_a given:
+# the closed form q_c log(q_c M / s) + (M - 1) q_w log(q_w M / s) over M,
+# evaluated in mpmath at 60 digits with every probability and complement
+# formed directly, scanned at 400 log-spaced M in [2, 1e9] (one peak, at
+# the same scan cell for all three) and refined by golden section on log M
+# to a bracket of 1e-25; a root of d MI / d log M at 80 digits
+# (mpmath.findroot on mpmath.diff) agrees to 1e-17.  The objective is flat
+# near the optimum, so the argument gets a looser window than the attained
+# efficiency.
+PPM_M_STAR_NB01 = {1e-5: 97.94806287451038, 1e-6: 100.66831535777058, 1e-7: 100.96653328904776}
+# regression values produced by this optimizer (deterministic search)
 OOK_GAUSS_PIE_NA1E6_NB01 = 3.389777579285158
 OOK_GAUSS_M_STAR_NA1E6_NB01 = 634357.1093109619
 PPM_M_STAR_NA1E3_NB01 = 54.96964168230766
@@ -148,6 +157,52 @@ class TestOptimizeM:
         fine = [float(value) for value in result.stdout.split()]
         default = [optimize_M(1e-10, poissonian(n_b), OOK).mi_per_bin for n_b in (0.0, 1e-6)]
         assert fine == pytest.approx(default, rel=1e-9)
+
+
+class TestOptimizeAgainstMpmath:
+    """The search on the float kernels against an independent maximization
+    of the 50-digit closed form (see mp_reference.optimum)."""
+
+    @pytest.mark.parametrize(
+        "scheme, kind, n_b, n_a",
+        [
+            (PPM, "poisson", 1e-2, 1e-7),
+            (PPM, "gauss", 1e-2, 1e-10),
+            (PPM, "gauss", 1e-1, 1e-3),
+            (OOK, "poisson", 1e-2, 1e-9),
+            (OOK, "gauss", 1e-6, 1e-9),
+            (OOK, "poisson", 1.0, 1e-3),
+            # the entropy-difference kernels put this optimum at M = 2.80,
+            # on a value of 2.5e-17 bit where the truth is 3.4e-21
+            (PPM, "poisson", 1.0, 1e-10),
+        ],
+    )
+    def test_lands_on_the_closed_form_optimum(self, scheme, kind, n_b, n_a):
+        m_star, mi_star = mp_reference.optimum(scheme, kind, n_b, n_a)
+        opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme)
+        assert not opt.at_boundary
+        assert abs(opt.m_star - m_star) <= 1e-5 * m_star
+        # the benchmark oracle's relative bits budget, without its 1e-12
+        # absolute part, which would pass any of these small values
+        assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-9 * mi_star
+
+
+class TestOneLocalMaximum:
+    # the search assumes one peak in log M, or a monotone run to an end of
+    # the range; with the entropy-difference kernels, rounding noise gave 26
+    # of these 364 scans extra local maxima (n_b >= 1, small n_a)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_dense_scan_has_at_most_one_peak(self, scheme, kind):
+        kernel, m_min = (_ppm_mi, 2.0) if scheme == PPM else (_ook_mi, 1.0)
+        m = np.geomspace(m_min, 1e9, 40001)
+        for n_b in (0.0, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0):
+            for n_a in np.geomspace(1e-6, 1.0, 13):
+                steps = np.diff(kernel(m, np.array([n_a]), kind, np.array([n_b])))
+                rises = steps[steps != 0.0] > 0.0
+                if rises.size:
+                    peaks = np.sum(rises[:-1] & ~rises[1:]) + (not rises[0]) + rises[-1]
+                    assert peaks == 1, (n_b, n_a, peaks)
 
 
 class TestOokLowSignalRegression:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from photonlink import receiver
 from photonlink.noise import poissonian
 from photonlink.receiver import (
     H,
@@ -293,6 +294,23 @@ class TestConcentrationEfficiency:
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
         concentration_efficiency(ReceiverConfig(k=6, phase_error_sigma=0.3, rng_seed=5), 2048)
         assert made == [(5,)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 99])
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, chunk):
+        # a run longer than one chunk draws its rows chunk by chunk from
+        # the same stream and merges the statistics; a small chunk size
+        # stands in for the 2**17 rows of a real run
+        trials, k, sigma, seed = 100, 5, 0.7, 23
+        phases = np.random.default_rng(seed).normal(0.0, sigma, (trials, k))
+        fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
+        monkeypatch.setattr(receiver, "_TRIAL_CHUNK", chunk)
+        cfg = ReceiverConfig(k=k, phase_error_sigma=sigma, rng_seed=seed)
+        chunks = list(receiver._phase_errors(cfg, trials))
+        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), phases)
+        mean, std = concentration_efficiency(cfg, trials)
+        assert mean == pytest.approx(fractions.mean(), rel=1e-14)
+        assert std == pytest.approx(fractions.std(), rel=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
     @pytest.mark.parametrize("k", [1, 3, 10, 16])
