@@ -54,9 +54,26 @@ def shannon_capacity(pn: PhotonNumbers) -> float:
     return _log2_1p(pn.n_a / (pn.n_b + 1.0))
 
 
+def _scaled_h(x: float, a: float) -> float:
+    # x * h(a / x) in nats, h(t) = t - log1p(t); tends to a as x -> 0, and
+    # is a where a / x overflows, as x * log1p(a / x) is then below a's ulp
+    t = a / x if x > 0.0 else math.inf
+    return a if math.isinf(t) else x * (t - math.log1p(t))
+
+
 def holevo_capacity(pn: PhotonNumbers) -> float:
-    """Holevo capacity g(n_a + n_b) - g(n_b), the quantum limit per mode."""
-    return g(pn.n_a + pn.n_b) - g(pn.n_b)
+    """Holevo capacity g(n_a + n_b) - g(n_b), the quantum limit per mode.
+
+    Formed without subtracting the two entropies, which cancel when
+    n_a << n_b: in nats the difference is
+    n_a log1p(1/(n_a + n_b)) + n_b h(n_a/n_b) - (n_b + 1) h(n_a/(n_b + 1))
+    with h(t) = t - log1p(t), whose terms are then a small correction.
+    """
+    n_a, n_b = pn.n_a, pn.n_b
+    if n_a == 0.0:
+        return 0.0
+    nats = n_a * math.log1p(1.0 / (n_a + n_b)) + _scaled_h(n_b, n_a) - _scaled_h(n_b + 1.0, n_a)
+    return nats * LOG2_E
 
 
 def pie(capacity_bits: float, n_a: float) -> float:

@@ -118,13 +118,15 @@ def apply_module(
         raise ValueError(f"loss must be in (0, 1], got {loss!r}")
     if not math.isfinite(phase_error):
         raise ValueError(f"phase_error must be finite, got {phase_error!r}")
-    h = pattern.amps[:, H]
-    v = np.roll(pattern.amps[:, V], int(delay_bins)) * np.exp(1j * phase_error)
+    return FieldPattern(_module(pattern.amps, int(delay_bins), phase_error, loss))
+
+
+def _module(amps: np.ndarray, delay: int, phase: float, loss: float) -> np.ndarray:
+    """``apply_module`` on a complex (n_bins, 2) array, arguments unchecked."""
+    h = amps[:, H]
+    v = np.roll(amps[:, V], delay) * np.exp(1j * phase)
     scale = _SQRT_HALF * math.sqrt(loss)
-    out = np.empty_like(pattern.amps)
-    out[:, H] = (h + v) * scale
-    out[:, V] = (h - v) * scale
-    return FieldPattern(out)
+    return np.column_stack(((h + v) * scale, (h - v) * scale))
 
 
 def _phase_errors(cfg: ReceiverConfig, trials: int):
@@ -148,10 +150,10 @@ def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
     phases = next(_phase_errors(cfg, 1))[0]
-    out = pattern
+    amps = pattern.amps
     for i in range(1, cfg.k + 1):
-        out = apply_module(out, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
-    return out
+        amps = _module(amps, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
+    return FieldPattern(amps)
 
 
 def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPattern:
@@ -234,14 +236,10 @@ _HEADER_RE = re.compile(
 def save_pattern(path: str, pattern: FieldPattern) -> None:
     """Write a pattern as a plain-text table, one row per bin."""
     k = pattern.n_bins.bit_length() - 1
+    header = f"k = {k} energy = {pattern.energy():.17e}\nbin_index re_H im_H re_V im_V"
+    columns = np.column_stack((np.arange(pattern.n_bins), pattern.amps.view(float)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# k = {k} energy = {pattern.energy():.17e}\n")
-        fh.write("# bin_index re_H im_H re_V im_V\n")
-        for i, (amp_h, amp_v) in enumerate(pattern.amps):
-            fh.write(
-                f"{i} {amp_h.real:.17e} {amp_h.imag:.17e} "
-                f"{amp_v.real:.17e} {amp_v.imag:.17e}\n"
-            )
+        np.savetxt(fh, columns, fmt=["%d"] + ["%.17e"] * 4, header=header, comments="# ")
 
 
 def load_pattern(path: str) -> FieldPattern:
@@ -267,6 +265,8 @@ def load_pattern(path: str) -> FieldPattern:
             re_h, im_h, re_v, im_v = (float(x) for x in fields[1:])
         except ValueError:
             raise PatternFormatError(f"{path}:{lineno}: malformed row") from None
+        if not all(map(math.isfinite, (re_h, im_h, re_v, im_v))):
+            raise PatternFormatError(f"{path}:{lineno}: amplitudes must be finite")
         if i != len(rows):
             raise PatternFormatError(f"{path}:{lineno}: expected bin_index {len(rows)}, got {i}")
         rows.append((complex(re_h, im_h), complex(re_v, im_v)))

@@ -2,8 +2,9 @@
 
 import math
 
+import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink.capacity import (
@@ -121,6 +122,59 @@ class TestHolevoCapacity:
     def test_dominates_shannon(self, n_a, n_b):
         pn = PhotonNumbers(n_a, n_b)
         assert holevo_capacity(pn) >= shannon_capacity(pn) - 1e-12
+
+
+def holevo_reference(n_a, n_b):
+    """g(n_a + n_b) - g(n_b) in bits at 60 digits.  The difference of the
+    entropies gives up at most 15 of them over the ranges tested here."""
+    with mp.workdps(60):
+        a, b = mp.mpf(n_a), mp.mpf(n_b)
+
+        def g_mp(x):
+            return (x + 1) * mp.log(x + 1) - (x * mp.log(x) if x > 0 else 0)
+
+        return (g_mp(a + b) - g_mp(b)) / mp.log(2)
+
+
+def assert_holevo_matches_reference(n_a, n_b):
+    # budget 1e-12 relative; the formula's own rounding stays near 1e-14
+    got = holevo_capacity(PhotonNumbers(n_a, n_b))
+    want = holevo_reference(n_a, n_b)
+    assert abs(got - want) <= 1e-12 * want, (n_a, n_b, got, float(want))
+
+
+class TestHolevoAgainstMpmath:
+    """Over n_a in [1e-10, 1] and n_b in {0} u [1e-10, 1e2], where the
+    difference of two entropies lost up to 3e-2 of its value at n_a << n_b."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        log_n_a=st.floats(min_value=-10.0, max_value=0.0),
+        n_b=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=2.0).map(lambda x: 10.0**x)),
+    )
+    def test_random_points(self, log_n_a, n_b):
+        assert_holevo_matches_reference(10.0**log_n_a, n_b)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b",
+        [(1e-10, 1e2), (1e-10, 1.0), (1e-8, 1e-2), (1e-6, 66.68), (1.0, 1e2),
+         (1e-10, 1e-10), (1.0, 1e-10), (1e-10, 0.0), (1.0, 0.0)],
+    )
+    def test_points_of_former_cancellation(self, n_a, n_b):
+        assert_holevo_matches_reference(n_a, n_b)
+
+    @pytest.mark.parametrize("n_b", [5e-324, 1e-310, 2.2250738585072014e-308])
+    def test_tiny_background_keeps_its_digits(self, n_b):
+        # n_a / n_b overflows at the subnormal n_b; the capacity is then
+        # g(n_a) to rounding
+        for n_a in (1e-10, 1e-3, 1.0):
+            assert_holevo_matches_reference(n_a, n_b)
+
+    @pytest.mark.parametrize("n_b", [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
+    def test_finite_for_every_accepted_background(self, n_b):
+        for n_a in (1e-10, 1.0, 1e10):
+            value = holevo_capacity(PhotonNumbers(n_a, n_b))
+            assert math.isfinite(value) and value >= 0.0
 
 
 class TestPie:

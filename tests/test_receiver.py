@@ -1,6 +1,7 @@
 """Tests for the structured-receiver simulation and its pattern codebook."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ class TestApplyReceiver:
         b = apply_receiver(pattern, cfg)
         assert np.array_equal(a.amps, b.amps)
 
+    def test_builds_one_pattern(self, monkeypatch):
+        # the k modules act on the raw array; only the result is validated
+        pattern = make_pattern(6, 5)
+        built = []
+        post_init = FieldPattern.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FieldPattern, "__post_init__", counting_post_init)
+        out = apply_receiver(pattern, ReceiverConfig(k=6, phase_error_sigma=0.1))
+        assert built == [out]
+
     def test_linearity_including_imperfections(self):
         cfg = ReceiverConfig(k=3, per_module_loss=0.9, phase_error_sigma=0.2, rng_seed=3)
         p = random_pattern(3, seed=31)
@@ -369,6 +384,22 @@ class TestPatternIO:
         save_pattern(path, pattern)
         assert np.array_equal(load_pattern(path).amps, pattern.amps)
 
+    def test_file_text_is_pinned(self, tmp_path):
+        # exact bytes, so a change of number format cannot pass unnoticed;
+        # the cells hold a negative zero and the smallest subnormal
+        path = tmp_path / "pattern.txt"
+        amps = np.array([[complex(-0.0, 5e-324), 0.5 - 0.25j], [complex(1.0, -0.0), 3j]])
+        save_pattern(str(path), FieldPattern(amps))
+        assert path.read_text(encoding="utf-8") == (
+            "# k = 1 energy = 1.03125000000000000e+01\n"
+            "# bin_index re_H im_H re_V im_V\n"
+            "0 -0.00000000000000000e+00 4.94065645841246544e-324 "
+            "5.00000000000000000e-01 -2.50000000000000000e-01\n"
+            "1 1.00000000000000000e+00 -0.00000000000000000e+00 "
+            "0.00000000000000000e+00 3.00000000000000000e+00\n"
+        )
+        assert np.array_equal(load_pattern(str(path)).amps, amps)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1 0 0 0\n1 0 0 0 0\n", encoding="utf-8")
@@ -409,4 +440,13 @@ class TestPatternIO:
             "# k = 1 energy = 5.0\n0 1 0 0 0\n1 0 0 0 0\n", encoding="utf-8"
         )
         with pytest.raises(PatternFormatError, match="energy"):
+            load_pattern(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_its_line(self, tmp_path, cell):
+        path = tmp_path / "finite.txt"
+        path.write_text(
+            f"# k = 1 energy = 1.0\n0 1 0 0 0\n1 0 0 {cell} 0\n", encoding="utf-8"
+        )
+        with pytest.raises(PatternFormatError, match=re.escape(f"{path}:3:") + ".*finite"):
             load_pattern(str(path))
