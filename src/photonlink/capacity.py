@@ -18,13 +18,6 @@ def _log2_1p(u: float) -> float:
     return math.log1p(u) * LOG2_E
 
 
-def _xlog2x(x: float) -> float:
-    # x * log2(x), continuously extended to 0 at x = 0
-    if x == 0.0:
-        return 0.0
-    return x * math.log2(x)
-
-
 @dataclass(frozen=True)
 class PhotonNumbers:
     """Mean detected photon numbers per mode: ``n_a`` signal, ``n_b`` background."""
@@ -42,11 +35,18 @@ class PhotonNumbers:
 def g(x: float) -> float:
     """Entropy of a thermal state with mean photon number ``x``, in bits.
 
-    g(x) = (x + 1) log2(x + 1) - x log2(x); g(0) = 0.
+    g(x) = (x + 1) log2(x + 1) - x log2(x); g(0) = 0.  Formed as
+    log1p(x) + x log1p(1/x) in nats, a sum of two non-negative terms, so
+    that large x does not cancel the two logarithms against each other.
     """
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"g requires x >= 0, got {x!r}")
-    return (x + 1.0) * _log2_1p(x) - _xlog2x(x)
+    if x == 0.0:
+        return 0.0
+    inv = 1.0 / x
+    # where 1/x overflows (subnormal x), log1p(1/x) = -log(x) to rounding
+    tail = -x * math.log(x) if math.isinf(inv) else x * math.log1p(inv)
+    return (math.log1p(x) + tail) * LOG2_E
 
 
 def shannon_capacity(pn: PhotonNumbers) -> float:

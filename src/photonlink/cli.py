@@ -17,10 +17,11 @@ was raised (optimizer hit the search bound), 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,19 +55,31 @@ SEPARATION_NOTE = (
 )
 
 
+def _cells(column: Iterable[object]) -> Iterable[str]:
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        # repr once per distinct bit pattern; the bits keep -0.0 apart
+        # from 0.0, which compare and hash equal as floats
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        return text[inverse].tolist()
+    return map(str, column)
+
+
 def _write_table(
     out_path: str | None,
     command: str,
     params: dict[str, object],
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    table: dict[str, Iterable[object]],
 ) -> None:
+    """Write ``table`` (column name -> cells, all of one length) as CSV.
+
+    A cell is written as ``str`` of its value; a float64 array column, as
+    ``repr`` of each float, which is the same text.
+    """
     lines = [f"# photonlink {__version__} {command}"]
-    for key, value in params.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(str, row)))
+    lines += [f"# {key} = {value}" for key, value in params.items()]
+    lines.append(",".join(table))
+    lines += map(",".join, zip(*map(_cells, table.values()), strict=True))
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -94,29 +107,28 @@ def _scheme_list(choice: str) -> list[str]:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    columns = ["quantity", "regime", "computed", "reference", "rel_error"]
-    rows = []
-    for regime, config_path in (("rf", args.rf_config), ("optical", args.optical_config)):
+    quantities = ("eta_ch", "n_a", "shannon_rate_bps", "holevo_rate_bps")
+    regimes = ("rf", "optical")
+    computed, reference = [], []
+    for regime, config_path in zip(regimes, (args.rf_config, args.optical_config)):
         ref = REFERENCE_REGIMES[regime]
-        lp = load_link_params(config_path)
-        summary = regime_summary(lp, ref.n_b)
-        for quantity, reference in (
-            ("eta_ch", ref.eta_ch),
-            ("n_a", ref.n_a),
-            ("shannon_rate_bps", ref.shannon_rate_bps),
-            ("holevo_rate_bps", ref.holevo_rate_bps),
-        ):
-            computed = summary[quantity]
-            rows.append(
-                [quantity, regime, computed, reference, abs(computed - reference) / reference]
-            )
+        summary = regime_summary(load_link_params(config_path), ref.n_b)
+        computed += [summary[quantity] for quantity in quantities]
+        reference += [getattr(ref, quantity) for quantity in quantities]
+    table = {
+        "quantity": quantities * len(regimes),
+        "regime": [regime for regime in regimes for _ in quantities],
+        "computed": computed,
+        "reference": reference,
+        "rel_error": [abs(c - r) / r for c, r in zip(computed, reference)],
+    }
     params = {
         "rf_config": args.rf_config,
         "optical_config": args.optical_config,
         "n_b_rf": REFERENCE_REGIMES["rf"].n_b,
         "n_b_optical": REFERENCE_REGIMES["optical"].n_b,
     }
-    _write_table(args.out, "table1", params, columns, rows)
+    _write_table(args.out, "table1", params, table)
     return 0
 
 
@@ -126,15 +138,22 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
     kinds = _model_kinds(args.model)
     exit_code = 0
     for scheme in schemes:
-        columns = ["n_a", "n_b", "model", "m_star", "pie", "pulse_energy", "flag"]
-        rows = []
+        rows, models = [], []
         for kind in kinds:
-            for row in sweep_pie(n_a_grid, args.n_b, kind, scheme):
-                if row.flag != FLAG_OK:
-                    exit_code = 1
-                rows.append(
-                    [row.n_a, row.n_b, kind, row.m_star, row.pie_star, row.pulse_energy, row.flag]
-                )
+            kind_rows = sweep_pie(n_a_grid, args.n_b, kind, scheme)
+            rows += kind_rows
+            models += [kind] * len(kind_rows)
+        if any(row.flag != FLAG_OK for row in rows):
+            exit_code = 1
+        table = {
+            "n_a": [row.n_a for row in rows],
+            "n_b": [row.n_b for row in rows],
+            "model": models,
+            "m_star": [row.m_star for row in rows],
+            "pie": [row.pie_star for row in rows],
+            "pulse_energy": [row.pulse_energy for row in rows],
+            "flag": [row.flag for row in rows],
+        }
         params = {
             "scheme": scheme,
             "model": args.model,
@@ -145,7 +164,7 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
         if out is not None and len(schemes) > 1:
             path = Path(out)
             out = str(path.with_name(f"{path.stem}_{scheme}{path.suffix}"))
-        _write_table(out, "pie-sweep", params, columns, rows)
+        _write_table(out, "pie-sweep", params, table)
     return exit_code
 
 
@@ -159,28 +178,29 @@ def cmd_link(args: argparse.Namespace) -> int:
         raise ValueError(f"scheme {repeated[0]!r} given more than once in --schemes")
     kinds = _model_kinds(args.model)
 
-    columns = ["model", "r_au", "n_a"]
-    for scheme in schemes:
-        columns += [f"rate_{scheme}_bps", f"peak_power_{scheme}_w", f"flag_{scheme}"]
-    columns += ["rate_shannon_bps", "rate_holevo_bps"]
-
+    runs = {
+        scheme: [
+            row
+            for kind in kinds
+            for row in rate_vs_distance(lp, NoiseModel(kind, args.n_b), scheme, r_grid_m)
+        ]
+        for scheme in schemes
+    }
+    first = runs[schemes[0]]
+    table = {
+        "model": [kind for kind in kinds for _ in r_grid_au],
+        "r_au": np.tile(r_grid_au, len(kinds)),
+        "n_a": [row.n_a for row in first],
+    }
     exit_code = 0
-    rows = []
-    for kind in kinds:
-        noise = NoiseModel(kind, args.n_b)
-        by_scheme = {
-            scheme: rate_vs_distance(lp, noise, scheme, r_grid_m) for scheme in schemes
-        }
-        for i, r_au in enumerate(r_grid_au):
-            first = by_scheme[schemes[0]][i]
-            row = [kind, r_au, first.n_a]
-            for scheme in schemes:
-                sr = by_scheme[scheme][i]
-                if sr.flag != FLAG_OK:
-                    exit_code = 1
-                row += [sr.rate_bps, sr.peak_power_w, sr.flag]
-            row += [first.shannon_rate_bps, first.holevo_rate_bps]
-            rows.append(row)
+    for scheme, rows in runs.items():
+        if any(row.flag != FLAG_OK for row in rows):
+            exit_code = 1
+        table[f"rate_{scheme}_bps"] = [row.rate_bps for row in rows]
+        table[f"peak_power_{scheme}_w"] = [row.peak_power_w for row in rows]
+        table[f"flag_{scheme}"] = [row.flag for row in rows]
+    table["rate_shannon_bps"] = [row.shannon_rate_bps for row in first]
+    table["rate_holevo_bps"] = [row.holevo_rate_bps for row in first]
 
     params = {
         "config": args.config,
@@ -190,7 +210,7 @@ def cmd_link(args: argparse.Namespace) -> int:
         "r_au_grid": " ".join(repr(v) for v in args.r_au_grid),
         "noise_power_w": noise_power_watts(args.n_b, lp.f_c_hz, lp.bandwidth_hz),
     }
-    _write_table(args.out, "link", params, columns, rows)
+    _write_table(args.out, "link", params, table)
     return exit_code
 
 
@@ -208,18 +228,17 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     mean, std = concentration_efficiency(cfg, args.trials)
 
     kinds = _model_kinds(args.model)
+    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
     columns = (
-        ["bin", "in_re_h", "in_im_h", "in_re_v", "in_im_v"]
+        [*pattern.amps.view(float).T, *out_field.amps.view(float).T, out_field.bin_energies()]
+        + [detect_pattern(out_field, NoiseModel(kind, args.n_b)) for kind in kinds]
+    )
+    names = (
+        ["in_re_h", "in_im_h", "in_re_v", "in_im_v"]
         + ["out_re_h", "out_im_h", "out_re_v", "out_im_v", "out_bin_energy"]
         + [f"click_prob_{kind}" for kind in kinds]
     )
-    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
-    rows = np.column_stack(
-        [pattern.amps.view(float), out_field.amps.view(float), out_field.bin_energies()]
-        + [detect_pattern(out_field, NoiseModel(kind, args.n_b)) for kind in kinds]
-    ).tolist()
-    for i, row in enumerate(rows):
-        row.insert(0, i)
+    table = {"bin": range(pattern.n_bins), **dict(zip(names, columns))}
 
     params = {
         "k": args.k,
@@ -238,10 +257,13 @@ def cmd_receiver(args: argparse.Namespace) -> int:
         save_pattern(args.pattern_out, pattern)
         params["pattern_out"] = args.pattern_out
     print(SEPARATION_NOTE, file=sys.stderr)
-    _write_table(args.out, "receiver", params, columns, rows)
+    _write_table(args.out, "receiver", params, table)
     return 0
 
 
+# one parser per process: building it costs about 1 ms, more than a table1
+# job's own work.  Every call shares its defaults, so those are tuples
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonlink",
@@ -259,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("pie-sweep", help="optimized efficiency over an (n_a, n_b) grid")
     p_sweep.add_argument("--scheme", choices=[PPM, OOK, "both"], default="both")
     p_sweep.add_argument("--model", choices=[POISSON, GAUSS, "both"], default="both")
-    p_sweep.add_argument("--n-b", type=float, nargs="+", default=[1e-1, 1e-2, 1e-3, 1e-4])
+    p_sweep.add_argument("--n-b", type=float, nargs="+", default=(1e-1, 1e-2, 1e-3, 1e-4))
     p_sweep.add_argument(
         "--na-grid",
         type=float,
         nargs=3,
         metavar=("START", "STOP", "POINTS"),
-        default=[1e-6, 1e-1, 26],
+        default=(1e-6, 1e-1, 26),
         help="log-spaced n_a grid",
     )
     p_sweep.add_argument("--out", default=None, help="with --scheme both, one file per scheme")
@@ -275,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--config", default=_bundled_config("table1_optical.cfg"))
     p_link.add_argument("--n-b", type=float, default=1e-2)
     p_link.add_argument("--model", choices=[POISSON, GAUSS, "both"], default=POISSON)
-    p_link.add_argument("--schemes", choices=[PPM, OOK], nargs="+", default=[PPM, OOK])
+    p_link.add_argument("--schemes", choices=[PPM, OOK], nargs="+", default=(PPM, OOK))
     p_link.add_argument(
         "--r-au-grid",
         type=float,
         nargs=3,
         metavar=("START", "STOP", "POINTS"),
-        default=[1e-1, 1e3, 29],
+        default=(1e-1, 1e3, 29),
         help="log-spaced distance grid in astronomical units",
     )
     p_link.add_argument("--out", default=None)

@@ -6,8 +6,11 @@ inspects exit codes, files written to ``tmp_path``, or captured output.
 
 import csv
 import math
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,12 +73,16 @@ def run_to_file(argv, path):
 
 class TestWriteTable:
     def test_cells_are_written_with_str(self, tmp_path):
-        out = tmp_path / "table.csv"
-        rows = [
-            [np.float64(0.1), 0.1, np.float64(5e-324), 1e16, 7, "ok"],
-            [np.float64(-0.0), 2.5e-310, np.float64(1e16), 1e-5, -3, "boundary"],
-        ]
-        cli._write_table(str(out), "demo", {"n_b": 0.01}, list("abcdef"), rows)
+        out = tmp_path / "t.csv"
+        table = {
+            "a": np.array([0.1, -0.0]),
+            "b": [0.1, 2.5e-310],
+            "c": np.array([5e-324, 1e16]),
+            "d": [1e16, 1e-5],
+            "e": [7, -3],
+            "f": ["ok", "boundary"],
+        }
+        cli._write_table(str(out), "demo", {"n_b": 0.01}, table)
         assert out.read_text(encoding="utf-8") == (
             f"# photonlink {__version__} demo\n"
             "# n_b = 0.01\n"
@@ -83,6 +90,78 @@ class TestWriteTable:
             "0.1,0.1,5e-324,1e+16,7,ok\n"
             "-0.0,2.5e-310,1e+16,1e-05,-3,boundary\n"
         )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_columns_give_the_text_of_str_per_row(self, tmp_path, seed):
+        # the row-wise writer, ",".join(map(str, row)) over the rows of
+        # Python floats that ndarray.tolist() gives, is the reference; the
+        # pool mixes 0.0 with -0.0, nan with other nan bit patterns, and
+        # subnormals with values whose repr needs all 17 digits
+        rng = np.random.default_rng(seed)
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e16, -1e16, 1e-5, 0.1, math.inf, -math.inf],
+            nans,
+            rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6),
+        ])
+        n = 300
+        table = {f"x{i}": rng.choice(pool, n) for i in range(4)}
+        table["unique"] = rng.standard_normal(n)
+        table["scalars"] = list(rng.choice(pool, n))  # np.float64 cells
+        table["ints"] = rng.integers(-5, 5, n).tolist()
+        table["text"] = rng.choice(["ok", "boundary", "failed"], n).tolist()
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
+        want = [",".join(map(str, row)) for row in rows]
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == want
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path / "t.csv"), "demo", {}, {"a": [1, 2], "b": [1]})
+
+
+class TestRepeatedCalls:
+    """``main`` runs many times in one process on one parser."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_survive_an_earlier_call(self, tmp_path):
+        grid = ["--na-grid", "1e-3", "1e-3", "1", "--scheme", "ppm", "--model", "poisson"]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["pie-sweep", "--n-b", "0.5", *grid, "--out", str(first)]) == 0
+        assert cli.main(["pie-sweep", *grid, "--out", str(second)]) == 0
+        meta, rows = parse_table(second.read_text(encoding="utf-8"))
+        assert meta["n_b"] == "0.1 0.01 0.001 0.0001"
+        assert [row["n_b"] for row in rows] == ["0.0001", "0.001", "0.01", "0.1"]
+        assert cli.main(["link", "--r-au-grid", "1", "1", "1", "--out", str(first)]) == 0
+        meta, _ = parse_table(first.read_text(encoding="utf-8"))
+        assert meta["schemes"] == "ppm ook"
+        assert meta["r_au_grid"] == "1.0 1.0 1.0"
+        assert cli.main(["link", "--out", str(second)]) == 0
+        meta, _ = parse_table(second.read_text(encoding="utf-8"))
+        assert meta["r_au_grid"] == "0.1 1000.0 29"
+
+    def test_version_exit_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"photonlink {__version__}\n"
+        assert cli.main(["table1"]) == 0
+        assert capsys.readouterr().out.startswith(f"# photonlink {__version__} table1\n")
+
+    def test_fresh_process_writes_what_main_writes(self, capsys):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "photonlink.cli", "table1"],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        assert cli.main(["table1"]) == 0
+        assert done.stdout.decode("utf-8") == capsys.readouterr().out
 
 
 class TestTable1:
