@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -92,8 +93,8 @@ def _bundled_config(name: str) -> str:
 
 
 def _log_grid(start: float, stop: float, points: float) -> np.ndarray:
-    count = int(points)
-    if start <= 0.0 or stop < start or count < 1 or count != points:
+    count = int(points) if math.isfinite(points) else 0
+    if not (0.0 < start <= stop < math.inf) or count < 1 or count != points:
         raise ValueError(f"bad grid: start {start!r}, stop {stop!r}, points {points!r}")
     return np.geomspace(start, stop, count)
 
@@ -331,8 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LinkConfigError, PatternFormatError, ValueError, OSError) as exc:
-        print(f"photonlink {args.command}: error: {exc}", file=sys.stderr)
+    except (LinkConfigError, PatternFormatError, ValueError, OSError, MemoryError) as exc:
+        print(f"photonlink {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

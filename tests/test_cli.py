@@ -263,6 +263,22 @@ class TestPieSweep:
         assert code == 1
         assert rows[0]["flag"] == "boundary"
 
+    def test_overflowing_pulse_energy_gives_failed_rows(self, tmp_path):
+        # n_a * m_max overflows above about 1.8e299: a computational flag
+        code, _, rows = run_to_file(
+            [
+                "pie-sweep",
+                "--scheme", "ppm",
+                "--model", "poisson",
+                "--n-b", "1e-2",
+                "--na-grid", "1e295", "1e305", "3",
+            ],
+            tmp_path / "sweep.csv",
+        )
+        assert code == 1
+        assert [row["flag"] for row in rows] == ["ok", "failed", "failed"]
+        assert math.isnan(float(rows[1]["pie"]))
+
     def test_reruns_are_byte_identical(self, tmp_path):
         argv = [
             "pie-sweep",
@@ -275,6 +291,31 @@ class TestPieSweep:
         assert cli.main(argv + ["--out", str(first)]) == 0
         assert cli.main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestGridArguments:
+    # exit 1 is kept for computational flags, so a grid that cannot be built
+    # is a usage error.  1e17 points ask for 711 PiB, beyond any address
+    # space, so that allocation fails even where memory is overcommitted
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pie-sweep", "--na-grid", "nan", "1e-1", "3"],
+            ["pie-sweep", "--na-grid", "1e-6", "inf", "3"],
+            ["pie-sweep", "--na-grid", "1e-6", "1e-1", "inf"],
+            ["pie-sweep", "--na-grid", "1e-6", "1e-1", "nan"],
+            ["pie-sweep", "--na-grid", "1e-6", "1e-1", "1e17"],
+            ["link", "--r-au-grid", "1", "10", "inf"],
+            ["link", "--r-au-grid", "1", "nan", "3"],
+        ],
+    )
+    def test_unusable_grid_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "table.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"photonlink {argv[0]}: error: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLink:

@@ -9,6 +9,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mp_reference
 import photonlink
@@ -25,6 +27,7 @@ from photonlink.optimize import (
     optimize_M,
     sweep_pie,
 )
+from test_batched_search import reference_optimize
 
 # Independent optima of PPM, Poisson n_b = 1e-2, at the float n_a given:
 # the closed form q_c log(q_c M / s) + (M - 1) q_w log(q_w M / s) over M,
@@ -187,22 +190,91 @@ class TestOptimizeAgainstMpmath:
         assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-9 * mi_star
 
 
+# the CLI range, log-uniform so that every decade is drawn
+N_A = st.floats(min_value=-10.0, max_value=0.0).map(lambda e: 10.0**e)
+N_B = st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=2.0).map(lambda e: 10.0**e))
+
+
 class TestOneLocalMaximum:
     # the search assumes one peak in log M, or a monotone run to an end of
     # the range; with the entropy-difference kernels, rounding noise gave 26
-    # of these 364 scans extra local maxima (n_b >= 1, small n_a)
+    # of 364 such scans extra local maxima (n_b >= 1, small n_a)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_dense_scan_has_at_most_one_peak(self, scheme, kind):
         kernel, m_min = (_ppm_mi, 2.0) if scheme == PPM else (_ook_mi, 1.0)
         m = np.geomspace(m_min, 1e9, 40001)
-        for n_b in (0.0, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0):
-            for n_a in np.geomspace(1e-6, 1.0, 13):
-                steps = np.diff(kernel(m, np.array([n_a]), kind, np.array([n_b])))
+        n_as = np.geomspace(1e-10, 1.0, 21)
+        for n_b in (0.0, 1e-10, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0, 30.0, 100.0):
+            values = kernel(m[:, None], n_as, kind, np.array([n_b]))
+            for n_a, column in zip(n_as, values.T):
+                steps = np.diff(column)
                 rises = steps[steps != 0.0] > 0.0
                 if rises.size:
                     peaks = np.sum(rises[:-1] & ~rises[1:]) + (not rises[0]) + rises[-1]
                     assert peaks == 1, (n_b, n_a, peaks)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(SCHEMES),
+        st.sampled_from(MODEL_KINDS),
+        N_A,
+        N_B,
+        st.sampled_from([200, 240, 241, 500]),
+        st.sampled_from([50.0, 1e6, 1e9]),
+    )
+    def test_boundary_flag_is_the_full_grid_argmax_at_m_max(
+        self, scheme, kind, n_a, n_b, coarse_points, m_max
+    ):
+        # the search scans part of the coarse grid; with one peak, its flag
+        # is the one a scan of the whole grid gives
+        kernel, m_min = (_ppm_mi, 2.0) if scheme == PPM else (_ook_mi, 1.0)
+        lo, hi = math.log(m_min), math.log(m_max)
+        grid = np.exp(lo + (hi - lo) * np.arange(coarse_points) / (coarse_points - 1))
+        values = kernel(grid, np.array([n_a]), kind, np.array([n_b]))
+        opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme, m_max, coarse_points)
+        assert opt.at_boundary == (values.argmax() == coarse_points - 1)
+
+
+class TestSearchCost:
+    """Timing-free guard on the cost of the search at default arguments:
+    array calls of the objective, and M values it evaluates."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        sizes = []
+        for scheme, kernel in photonlink.optimize._MI.items():
+
+            def counted(*args, _kernel=kernel):
+                values = _kernel(*args)
+                sizes.append(values.size)
+                return values
+
+            monkeypatch.setitem(photonlink.optimize._MI, scheme, counted)
+        return sizes
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_optimum(self, evaluations, scheme):
+        optimize_M(1e-4, poissonian(1e-2), scheme)
+        assert len(evaluations) == 5
+        assert sum(evaluations) <= 300
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_48_point_sweep(self, evaluations, scheme):
+        rows = sweep_pie(np.geomspace(1e-10, 1.0, 12), [0.0, 1e-6, 1e-2, 1e2], "gauss", scheme)
+        assert len(rows) == 48
+        assert len(evaluations) == 5
+        assert sum(evaluations) <= 300 * 48
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(SCHEMES), st.sampled_from(MODEL_KINDS), N_A, N_B)
+def test_never_worse_than_the_scalar_search_anywhere(scheme, kind, n_a, n_b):
+    model = NoiseModel(kind, n_b)
+    _, ref_mi, ref_boundary = reference_optimize(n_a, model, scheme)
+    opt = optimize_M(n_a, model, scheme)
+    assert opt.mi_per_bin >= ref_mi - (1e-12 + 1e-9 * abs(ref_mi))
+    assert opt.at_boundary == ref_boundary
 
 
 class TestOokLowSignalRegression:
