@@ -49,6 +49,11 @@ from .receiver import (
 )
 
 MAX_RECEIVER_K = 16
+# points of a --na-grid or --r-au-grid.  Each point costs one optimization
+# per scheme, model and background, so a million points already run for
+# minutes; the bound turns a mistyped count into a usage error before numpy
+# allocates the grid
+MAX_GRID_POINTS = 10**6
 
 SEPARATION_NOTE = (
     "note: consecutive codebook patterns must be separated by at least one "
@@ -96,6 +101,8 @@ def _log_grid(start: float, stop: float, points: float) -> np.ndarray:
     count = int(points) if math.isfinite(points) else 0
     if not (0.0 < start <= stop < math.inf) or count < 1 or count != points:
         raise ValueError(f"bad grid: start {start!r}, stop {stop!r}, points {points!r}")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count} points refused, at most {MAX_GRID_POINTS} are supported")
     return np.geomspace(start, stop, count)
 
 

@@ -318,6 +318,27 @@ class TestGridArguments:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestGridBound:
+    # a grid past MAX_GRID_POINTS is refused before numpy builds it, so no
+    # grid here is ever allocated
+    @pytest.mark.parametrize("points", ["1e12", str(cli.MAX_GRID_POINTS + 1)])
+    @pytest.mark.parametrize("command, flag", [("pie-sweep", "--na-grid"), ("link", "--r-au-grid")])
+    def test_oversized_grid_is_a_usage_error(
+        self, command, flag, points, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(cli.np, "geomspace", refuse)
+        argv = [command, flag, "1", "10", points, "--out", str(tmp_path / "table.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"photonlink {command}: error: ")
+        assert str(cli.MAX_GRID_POINTS) in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLink:
     def test_rates_at_the_reference_distance(self, tmp_path):
         code, _, rows = run_to_file(

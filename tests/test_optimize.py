@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
@@ -62,6 +62,15 @@ class TestOptimizeDomain:
     def test_rejects_sparse_coarse_grid(self):
         with pytest.raises(ValueError):
             optimize_M(1e-4, poissonian(1e-2), PPM, coarse_points=50)
+
+    @pytest.mark.parametrize("bad", [240.5, float("nan"), float("inf")])
+    def test_rejects_fractional_coarse_grid(self, bad):
+        with pytest.raises(ValueError, match="coarse_points"):
+            optimize_M(1e-12, poissonian(0.0), PPM, m_max=1e6, coarse_points=bad)
+
+    def test_whole_float_coarse_grid_is_its_integer(self):
+        model = poissonian(1e-2)
+        assert optimize_M(1e-4, model, OOK, coarse_points=240.0) == optimize_M(1e-4, model, OOK)
 
 
 class TestOptimizeM:
@@ -189,6 +198,22 @@ class TestOptimizeAgainstMpmath:
         # absolute part, which would pass any of these small values
         assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-9 * mi_star
 
+    def test_finds_a_peak_inside_the_first_scan_cell(self):
+        # the peak sits 0.0044 above log m_min, inside the first scanned
+        # cell (0.25 wide), and m_min beats the next scanned point, so the
+        # first round packs its probes against m_min and misses the peak;
+        # the search must recover through the bracket that round leaves
+        n_b, n_a, m_peak = 0.9912598116686517, 6.773283029565834e-08, 2.0088171472877536
+        lo, hi = math.log(2.0), math.log(1e9)
+        first_scanned = np.array([2.0, math.exp(lo + 3 * (hi - lo) / 239)])
+        values = _ppm_mi(first_scanned, np.array([n_a]), "poisson", np.array([n_b]))
+        assert values[0] > values[1]
+        _, mi_star = mp_reference.optimum(PPM, "poisson", n_b, n_a)
+        opt = optimize_M(n_a, poissonian(n_b), PPM)
+        assert not opt.at_boundary
+        assert opt.m_star == pytest.approx(m_peak, rel=1e-6)
+        assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-9 * mi_star
+
 
 # the CLI range, log-uniform so that every decade is drawn
 N_A = st.floats(min_value=-10.0, max_value=0.0).map(lambda e: 10.0**e)
@@ -255,16 +280,28 @@ class TestSearchCost:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_optimum(self, evaluations, scheme):
+        # the scan, then two vertex rounds
         optimize_M(1e-4, poissonian(1e-2), scheme)
-        assert len(evaluations) == 5
-        assert sum(evaluations) <= 300
+        assert evaluations == [63, 57, 57]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_48_point_sweep(self, evaluations, scheme):
         rows = sweep_pie(np.geomspace(1e-10, 1.0, 12), [0.0, 1e-6, 1e-2, 1e2], "gauss", scheme)
         assert len(rows) == 48
-        assert len(evaluations) == 5
-        assert sum(evaluations) <= 300 * 48
+        assert len(evaluations) <= 4
+        assert sum(evaluations) <= (63 + 3 * 57) * 48
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(SCHEMES), st.sampled_from(MODEL_KINDS), N_A, N_B)
+    def test_never_more_than_four_calls(self, evaluations, scheme, kind, n_a, n_b):
+        evaluations.clear()
+        optimize_M(n_a, NoiseModel(kind, n_b), scheme)
+        assert 2 <= len(evaluations) <= 4
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
