@@ -6,7 +6,7 @@ Four subcommands:
 * ``pie-sweep``  optimized photon information efficiency over an (n_a, n_b) grid
 * ``link``       optimized data rate and peak power versus link distance
 * ``receiver``   structured-receiver demo: codebook pattern, output field,
-                 click probabilities, concentration efficiency
+                 click probabilities, exact concentration-efficiency statistics
 
 Output is CSV with a '#'-prefixed metadata header that echoes the command
 and every parameter; given the same arguments the data section is
@@ -233,7 +233,10 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     )
     pattern = make_pattern(args.k, args.target_bin, args.energy)
     out_field = apply_receiver(pattern, cfg)
-    mean, std = concentration_efficiency(cfg, args.trials)
+    # --trials changes no output; it stays checked and echoed for the scripts that pass it
+    if args.trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {args.trials!r}")
+    mean, std = concentration_efficiency(cfg)
 
     kinds = _model_kinds(args.model)
     # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rx.add_argument("--energy", type=float, default=1.0)
     p_rx.add_argument("--loss", type=float, default=1.0, help="per-module power transmission")
     p_rx.add_argument("--phase-sigma", type=float, default=0.0, help="phase error spread, rad")
-    p_rx.add_argument("--trials", type=int, default=1000)
+    p_rx.add_argument("--trials", type=int, default=1000, help=">= 1; changes no output")
     p_rx.add_argument("--n-b", type=float, default=0.0)
     p_rx.add_argument("--model", choices=[POISSON, GAUSS, "both"], default=POISSON)
     p_rx.add_argument("--seed", type=int, default=0)

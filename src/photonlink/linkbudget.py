@@ -143,7 +143,8 @@ def noise_power_watts(
     """Detected background power corresponding to n_b photons per bin."""
     if n_b < 0.0:
         raise ValueError(f"n_b must be >= 0, got {n_b!r}")
-    return n_b * constants.h * f_c_hz * bandwidth_hz
+    # + 0.0 turns a background of -0.0 into 0.0
+    return (n_b + 0.0) * constants.h * f_c_hz * bandwidth_hz
 
 
 def transmitter_peak_power(

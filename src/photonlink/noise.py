@@ -37,6 +37,8 @@ class NoiseModel:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if not math.isfinite(self.n_b) or self.n_b < 0.0:
             raise ValueError(f"n_b must be finite and >= 0, got {self.n_b!r}")
+        # -0.0 passes, but its click probabilities are -0.0 and the kernels divide by them
+        object.__setattr__(self, "n_b", self.n_b + 0.0)
 
 
 def poissonian(n_b: float) -> NoiseModel:

@@ -185,23 +185,25 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
     for start in range(0, n_a.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         n_a_col, n_b_col = n_a[block, None], n_b[block, None]
-        values = mi(m_first, n_a_col, kind, n_b_col)
-        rows = np.arange(len(values))
-        col = rows[:, None]
-        best = values.argmax(axis=1)
-        m_best, mi_best = m_first[best], values[rows, best]
-        # the last two columns are the last two grid points
-        at_boundary[block] = values[:, -1] > values[:, -2]
-        # the best scanned point between its scanned neighbours
-        i = values[:, 1:].argmax(axis=1)
-        tri = np.empty((2, len(values), 3))
-        tri[0], tri[1] = near_x[i], values[col, near_col[i]]
-        span = tri[0, :, 2] - tri[0, :, 0]
-        wide = span > tol
-        # a round's probes 1 .. _ZOOM, with a and b as probes 0 and _ZOOM + 1:
-        # log M in probes[0], values in probes[1]
-        probes = np.empty((2, len(values), _ZOOM + 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # (M - 1) log(1 - p_b) overflows to -inf, the right limit, where a
+        # Poisson n_b is above about 1.8e299
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = mi(m_first, n_a_col, kind, n_b_col)
+            rows = np.arange(len(values))
+            col = rows[:, None]
+            best = values.argmax(axis=1)
+            m_best, mi_best = m_first[best], values[rows, best]
+            # the last two columns are the last two grid points
+            at_boundary[block] = values[:, -1] > values[:, -2]
+            # the best scanned point between its scanned neighbours
+            i = values[:, 1:].argmax(axis=1)
+            tri = np.empty((2, len(values), 3))
+            tri[0], tri[1] = near_x[i], values[col, near_col[i]]
+            span = tri[0, :, 2] - tri[0, :, 0]
+            wide = span > tol
+            # a round's probes 1 .. _ZOOM, with a and b as probes 0 and _ZOOM + 1:
+            # log M in probes[0], values in probes[1]
+            probes = np.empty((2, len(values), _ZOOM + 2))
             vertex, spacing = _vertex(tri, span, fine)
             # a best point at an end of the range has no vertex: pack the
             # probes at the finest spacing against that end
@@ -291,9 +293,8 @@ def sweep_pie(
     fails is kept in the table with NaN values and flag "failed"; a point
     whose optimum sits on the m_max bound is flagged "boundary".
     """
-    n_bs = sorted(n_b_list)
-    for n_b in n_bs:
-        NoiseModel(model_kind, n_b)  # rejects a bad model kind or background
+    # the model rejects a bad kind or background and turns -0.0 into 0.0
+    n_bs = [NoiseModel(model_kind, n_b).n_b for n_b in sorted(n_b_list)]
     _check_range(scheme, m_max)
     points = [(n_a, n_b) for n_b in n_bs for n_a in sorted(n_a_grid)]
     m_star, mi, at_boundary, failed = _maximize(

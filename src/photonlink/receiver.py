@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ H = 0
 V = 1
 
 _SQRT_HALF = math.sqrt(0.5)
-# trials drawn and summarized at once, which bounds the memory of a run
-_TRIAL_CHUNK = 1 << 17
 
 
 class PatternFormatError(ValueError):
@@ -92,6 +91,8 @@ class ReceiverConfig:
             raise ValueError(f"per_module_loss must be in (0, 1], got {self.per_module_loss!r}")
         if not math.isfinite(self.phase_error_sigma) or self.phase_error_sigma < 0.0:
             raise ValueError(f"phase_error_sigma must be >= 0, got {self.phase_error_sigma!r}")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 def apply_module(
@@ -129,27 +130,18 @@ def _module(amps: np.ndarray, delay: int, phase: float, loss: float) -> np.ndarr
     return np.column_stack(((h + v) * scale, (h - v) * scale))
 
 
-def _phase_errors(cfg: ReceiverConfig, trials: int):
-    """Phase errors of ``trials`` realizations, as (rows, k) arrays of at
-    most ``_TRIAL_CHUNK`` rows: row ``t`` of them all is draws
-    t*k ... t*k + k - 1 of one stream seeded with ``cfg.rng_seed``."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    for start in range(0, trials, _TRIAL_CHUNK):
-        yield rng.normal(0.0, cfg.phase_error_sigma, (min(_TRIAL_CHUNK, trials - start), cfg.k))
-
-
 def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
     """Run a field pattern through the full cascade described by ``cfg``.
 
     Module ``i`` (1-based) uses delay n_bins / 2**i, so the last module has
-    delay 1.  Its phase errors are trial 0 of ``concentration_efficiency``
-    with the same ``cfg``; sigma = 0 gives the ideal phases exactly.
+    delay 1.  Its phase error is draw ``i - 1`` of one normal stream seeded
+    with ``cfg.rng_seed``; sigma = 0 gives the ideal phases exactly.
     """
     if pattern.n_bins != 1 << cfg.k:
         raise ValueError(
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
-    phases = next(_phase_errors(cfg, 1))[0]
+    phases = np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, cfg.k)
     amps = pattern.amps
     for i in range(1, cfg.k + 1):
         amps = _module(amps, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
@@ -197,35 +189,30 @@ def detect_pattern(pattern: FieldPattern, model: NoiseModel) -> np.ndarray:
     return _click_probs(model.kind, model.n_b, pattern.bin_energies())[1]
 
 
-def concentration_efficiency(cfg: ReceiverConfig, trials: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the energy fraction reaching the target port.
+def concentration_efficiency(cfg: ReceiverConfig) -> tuple[float, float]:
+    """Exact (mean, std) of the energy fraction reaching the target port.
 
     In one realization module ``i``'s two arms interfere with relative
-    phase error phi_i, so a codebook pattern sends exactly
+    phase error phi_i ~ N(0, sigma**2), so a codebook pattern sends exactly
     prod_i cos^2(phi_i / 2) of the output energy into its designed port
-    (target bin, H).  That fraction does not depend on the target bin, and
-    the total energy and the uniform per-module loss scale every port
-    alike and cancel, so neither appears here.  Trial ``t`` uses row ``t``
-    of ``_phase_errors(cfg, trials)``, so trial 0 is the realization that
-    ``apply_receiver`` simulates; zero phase-error spread gives exactly 1.
-    Beyond ``_TRIAL_CHUNK`` trials the mean and std are merged from
-    chunks, which can move their last digits.
-
-    Returns:
-        (mean, std) of the fraction over trials.
+    (target bin, H), whatever the target bin, total energy and uniform
+    per-module loss.  The k factors are independent, and E cos(j phi) =
+    e**(j**2) with e = exp(-sigma**2 / 2) gives each the mean m2 = (1 + e) / 2
+    and second moment m4 = (3 + 4e + e**4) / 8, so the fraction has mean
+    m2**k and variance m4**k - m2**(2k).  With g = m2 - 1 = expm1(-sigma**2
+    / 2) / 2 and u**2 = m4 / m2**2 - 1 = expm1(-sigma**2)**2 / (8 m2**2),
+    both are formed without cancellation: mean = exp(k log1p(g)) and
+    std = mean u sqrt(expm1(k log1p(u**2)) / u**2).  u**2 is held at or
+    above the smallest normal float, where that root is already sqrt(k) to
+    the last digit, so a tiny u cannot underflow to a wrong std.
     """
-    if int(trials) != trials or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    chunks = []
-    for phases in _phase_errors(cfg, int(trials)):
-        fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
-        if len(fractions) == trials:
-            return float(fractions.mean()), float(fractions.std())
-        chunks.append((len(fractions), fractions.mean(), fractions.var()))
-    # the run's variance is the mean chunk variance plus that of the chunk means
-    n, means, variances = np.array(chunks).T
-    mean = n @ means / trials
-    return float(mean), math.sqrt((n @ variances + n @ (means - mean) ** 2) / trials)
+    # sigma ** 2 would raise OverflowError above 1.3e154
+    s2 = cfg.phase_error_sigma * cfg.phase_error_sigma
+    g = math.expm1(-s2 / 2.0) / 2.0
+    mean = math.exp(cfg.k * math.log1p(g))
+    u = -math.expm1(-s2) / (math.sqrt(8.0) * (1.0 + g))
+    u2 = max(u * u, sys.float_info.min)
+    return mean, mean * u * math.sqrt(math.expm1(cfg.k * math.log1p(u2)) / u2)
 
 
 _HEADER_RE = re.compile(

@@ -22,6 +22,7 @@ from photonlink.optimize import OOK, PPM
 from photonlink.receiver import (
     ReceiverConfig,
     apply_receiver,
+    concentration_efficiency,
     detect_pattern,
     load_pattern,
     make_pattern,
@@ -339,6 +340,48 @@ class TestGridBound:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBackgroundEdges:
+    # -0.0 passes every n_b >= 0 check and must act as the 0.0 it equals
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pie-sweep", "--scheme", "ppm", "--na-grid", "1e-5", "1e-1", "5"],
+            ["pie-sweep", "--scheme", "ook", "--na-grid", "1e-5", "1e-1", "5"],
+            ["link", "--r-au-grid", "0.1", "1000", "5"],
+            ["receiver", "--k", "4", "--phase-sigma", "0.2", "--seed", "3"],
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_negative_zero_writes_the_data_of_positive_zero(self, argv, tmp_path):
+        texts = []
+        for n_b in ("-0.0", "0.0"):
+            path = tmp_path / f"{n_b}.csv"
+            assert cli.main(argv + ["--model", "both", "--n-b", n_b, "--out", str(path)]) == 0
+            texts.append(path.read_text(encoding="utf-8"))
+        assert parse_table(texts[0])[1] == parse_table(texts[1])[1]
+        if argv[0] == "link":
+            assert parse_table(texts[0])[0]["noise_power_w"] == "0.0"
+
+    # (M - 1) log(1 - p_b) overflows to -inf above a Poisson n_b of about
+    # 1.8e299, which is the right limit and must not warn
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pie-sweep", "--na-grid", "1e-6", "1e-1", "4"],
+            ["link", "--schemes", "ppm", "ook", "--r-au-grid", "0.1", "1000", "4"],
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_largest_backgrounds_run_without_warnings(self, argv, tmp_path):
+        for n_b in ("1e300", "1e308"):
+            out = tmp_path / "table.csv"
+            assert cli.main(argv + ["--model", "both", "--n-b", n_b, "--out", str(out)]) == 0
+            for path in tmp_path.iterdir():
+                _, rows = parse_table(path.read_text(encoding="utf-8"))
+                for column in ("pie", "rate_ppm_bps", "rate_ook_bps"):
+                    assert all(float(row[column]) == 0.0 for row in rows if column in row)
+
+
 class TestLink:
     def test_rates_at_the_reference_distance(self, tmp_path):
         code, _, rows = run_to_file(
@@ -437,8 +480,8 @@ class TestReceiverCommand:
             tmp_path / "rx.csv",
         )
         assert code == 0
-        assert float(meta["concentration_mean"]) == pytest.approx(1.0, abs=1e-12)
-        assert float(meta["concentration_std"]) == pytest.approx(0.0, abs=1e-15)
+        assert meta["concentration_mean"] == "1.0"
+        assert meta["concentration_std"] == "0.0"
         for row in rows:
             prob = float(row["click_prob_poisson"])
             if row["bin"] == "5":
@@ -474,6 +517,34 @@ class TestReceiverCommand:
         mean = float(meta["concentration_mean"])
         assert 0.9 < mean < 1.0
         assert float(meta["concentration_std"]) > 0.0
+
+    def test_trials_change_no_output(self, tmp_path):
+        # the statistics are exact; --trials is parsed, checked and echoed
+        argv = ["receiver", "--k", "3", "--phase-sigma", "0.1", "--seed", "4"]
+        texts = {}
+        for trials in ("1", "1000000000"):
+            path = tmp_path / f"{trials}.csv"
+            assert cli.main(argv + ["--trials", trials, "--out", str(path)]) == 0
+            texts[trials] = path.read_text(encoding="utf-8")
+        meta, _ = parse_table(texts["1000000000"])
+        assert meta["trials"] == "1000000000"
+        assert texts["1"] == texts["1000000000"].replace("# trials = 1000000000", "# trials = 1")
+        exact = concentration_efficiency(ReceiverConfig(k=3, phase_error_sigma=0.1))
+        assert (meta["concentration_mean"], meta["concentration_std"]) == tuple(map(repr, exact))
+        assert float(meta["concentration_mean"]) == pytest.approx(0.9925373598, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "trials must be an integer >= 1, got 0"),
+            ("--seed", "-1", "rng_seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_trials_or_seed_is_a_usage_error(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "rx.csv"
+        assert cli.main(["receiver", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"photonlink receiver: error: {message}\n"
+        assert not out.exists()
 
     def test_pattern_out_matches_the_codebook(self, tmp_path):
         pattern_path = tmp_path / "pattern.txt"

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import mp_reference
 import photonlink
 from photonlink.capacity import holevo_pie_asymptote
+from photonlink.linkbudget import load_link_params, rate_vs_distance
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
-from photonlink.noise import MODEL_KINDS, NoiseModel, gaussian, poissonian
+from photonlink.noise import MODEL_KINDS, NoiseModel, click_probs, gaussian, poissonian
 from photonlink.optimize import (
     FLAG_BOUNDARY,
     FLAG_FAILED,
@@ -71,6 +72,33 @@ class TestOptimizeDomain:
     def test_whole_float_coarse_grid_is_its_integer(self):
         model = poissonian(1e-2)
         assert optimize_M(1e-4, model, OOK, coarse_points=240.0) == optimize_M(1e-4, model, OOK)
+
+
+class TestNegativeZeroBackground:
+    # -0.0 passes every n_b >= 0 check; repr tells it, and -inf, from the
+    # 0.0 results it must give bit for bit
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_gives_the_bits_of_positive_zero(self, kind, scheme):
+        neg, pos = NoiseModel(kind, -0.0), NoiseModel(kind, 0.0)
+        assert repr(neg) == repr(pos)
+        mi_per_bin = {PPM: ppm_mi_per_bin, OOK: ook_mi_per_bin}[scheme]
+        lp = load_link_params(
+            str(Path(photonlink.__file__).parent / "configs" / "table1_optical.cfg")
+        )
+        r_grid = np.geomspace(1e10, 1e14, 5)
+        for model in (neg, pos):
+            assert repr(click_probs(model, 0.0)) == repr(click_probs(pos, 0.0))
+            assert repr(click_probs(model, 1.0)) == repr(click_probs(pos, 1.0))
+            assert repr(mi_per_bin(10.0, 1e-3, model)) == repr(mi_per_bin(10.0, 1e-3, pos))
+            assert repr(optimize_M(1e-3, model, scheme)) == repr(optimize_M(1e-3, pos, scheme))
+            assert repr(rate_vs_distance(lp, model, scheme, r_grid)) == repr(
+                rate_vs_distance(lp, pos, scheme, r_grid)
+            )
+        grid = [1e-5, 1e-3, 1e-1]
+        assert repr(sweep_pie(grid, [1e-2, -0.0], kind, scheme)) == repr(
+            sweep_pie(grid, [1e-2, 0.0], kind, scheme)
+        )
 
 
 class TestOptimizeM:

@@ -3,10 +3,10 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from photonlink import receiver
 from photonlink.noise import poissonian
 from photonlink.receiver import (
     H,
@@ -88,6 +88,11 @@ class TestReceiverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ReceiverConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, "7", None])
+    def test_rejects_bad_seed_by_name(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            ReceiverConfig(k=3, rng_seed=seed)
 
 
 class TestApplyModule:
@@ -261,42 +266,81 @@ class TestDetectPattern:
         assert probs == pytest.approx(np.full(16, SIXTEENTH_PHOTON_CLICK), rel=1e-12)
 
 
+# the variance m4**k - m2**(2k) is about k sigma**4 / 8 for small sigma while
+# both terms are near 1, so at this many digits it keeps 14 digits for every
+# std above 1e-300, and a smaller std is off by far less than 1e-300
+MP_DIGITS = 700
+# sigma of the grid: zero, the smallest subnormal, one whose sigma**2 is
+# subnormal, small ones where a naive form cancels, and ones whose sigma**2
+# overflows
+SIGMA_GRID = [0.0, 5e-324, 1e-160, 1e-12, 1e-9, 1e-6, 0.05, 0.2, 1.0, 10.0, 1e300, 1.7e308]
+
+
+def factor_moment(j, sigma):
+    """E cos^(2j)(phi / 2) over phi ~ N(0, sigma**2), in mpmath.
+
+    cos^(2j)(x) = 4**-j (C(2j, j) + 2 sum_r C(2j, j - r) cos(2 r x)), r = 1 .. j,
+    and E cos(r phi) = e**(r**2) with e = exp(-sigma**2 / 2).
+    """
+    e = mp.exp(-(mp.mpf(sigma) ** 2) / 2)
+    terms = [mp.binomial(2 * j, j - r) * e ** (r * r) for r in range(1, j + 1)]
+    return (mp.binomial(2 * j, j) + 2 * mp.fsum(terms)) / 4**j
+
+
+def assert_exact_statistics(sigma):
+    # the raw moments of a product of k independent factors are the k-th
+    # powers of the factor's; the variance is formed by plain subtraction
+    with mp.workdps(MP_DIGITS):
+        m2, m4 = factor_moment(1, sigma), factor_moment(2, sigma)
+        for k in range(1, 17):
+            want_mean = m2**k
+            want_std = mp.sqrt(max(m4**k - m2 ** (2 * k), 0))
+            mean, std = concentration_efficiency(ReceiverConfig(k=k, phase_error_sigma=sigma))
+            assert abs(mean - want_mean) <= 1e-14 * want_mean, (k, sigma, mean)
+            assert abs(std - want_std) <= max(1e-14 * want_std, 1e-300), (k, sigma, std)
+
+
 class TestConcentrationEfficiency:
-    def test_ideal_receiver_is_lossless_and_deterministic(self):
-        mean, std = concentration_efficiency(ReceiverConfig(k=4), trials=8)
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert std == pytest.approx(0.0, abs=1e-15)
+    @pytest.mark.parametrize("loss", [1.0, 0.9])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_ideal_receiver_is_lossless_and_deterministic(self, k, loss):
+        cfg = ReceiverConfig(k=k, per_module_loss=loss)
+        assert concentration_efficiency(cfg) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", SIGMA_GRID)
+    def test_matches_mpmath_on_the_grid(self, sigma):
+        assert_exact_statistics(sigma)
+
+    def test_matches_mpmath_at_random_sigma(self):
+        # log-uniform up to 1e20: beyond it mpmath's exp(-sigma**2 / 2)
+        # slows down, and the grid holds 1e300 and 1.7e308
+        for sigma in 10.0 ** np.random.default_rng(2718).uniform(-323.0, 20.0, 100):
+            assert_exact_statistics(float(sigma))
 
     @pytest.mark.parametrize("seed", [0, 90210])
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 1.0, 10.0])
     @pytest.mark.parametrize("loss", [1.0, 0.9])
     @pytest.mark.parametrize("k", [1, 3, 6, 10])
     def test_matches_jones_oracle_trial_by_trial(self, k, loss, sigma, seed):
-        # trial t chains the modules with row t of one (trials, k) draw
-        # seeded with rng_seed, whatever the codebook entry and energy sent
-        # through it; trial 0 is apply_receiver's field exactly.  Rows do
-        # not depend on the trial count, so the statistics of the first
-        # t + 1 trials pin trial t
+        # trial t chains the k modules with row t of one (trials, k) draw
+        # seeded with rng_seed; its target-port fraction is
+        # prod_i cos^2(phi_i / 2) whatever the codebook entry and energy,
+        # and trial 0 is apply_receiver's field exactly
         trials = 4
         n = 1 << k
         cfg = ReceiverConfig(k=k, per_module_loss=loss, phase_error_sigma=sigma, rng_seed=seed)
         phases = np.random.default_rng(seed).normal(0.0, sigma, (trials, k))
-        closed = [concentration_efficiency(cfg, t + 1) for t in range(trials)]
+        products = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
         for target, energy in ((0, 1.0), (n - 1, 1e-2), (n // 3, 7.5)):
             pattern = make_pattern(k, target, energy)
-            jones = []
             for t in range(trials):
                 out = pattern
                 for i in range(1, k + 1):
                     out = apply_module(out, n >> i, phases[t, i - 1], loss)
                 if t == 0:
                     assert np.array_equal(out.amps, apply_receiver(pattern, cfg).amps)
-                jones.append(abs(out.amps[target, H]) ** 2 / out.energy())
-            for t, (mean, std) in enumerate(closed):
-                assert mean == pytest.approx(np.mean(jones[: t + 1]), rel=0.0, abs=1e-12)
-                assert std == pytest.approx(np.std(jones[: t + 1]), rel=0.0, abs=1e-12)
-        if sigma == 0.0:
-            assert closed[-1] == (1.0, 0.0)
+                fraction = abs(out.amps[target, H]) ** 2 / out.energy()
+                assert fraction == pytest.approx(products[t], rel=0.0, abs=1e-12)
 
     def test_one_generator_per_run(self, monkeypatch):
         made = []
@@ -307,47 +351,41 @@ class TestConcentrationEfficiency:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-        concentration_efficiency(ReceiverConfig(k=6, phase_error_sigma=0.3, rng_seed=5), 2048)
+        cfg = ReceiverConfig(k=6, phase_error_sigma=0.3, rng_seed=5)
+        concentration_efficiency(cfg)
+        assert made == []
+        apply_receiver(make_pattern(6, 0), cfg)
         assert made == [(5,)]
-
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 99])
-    def test_chunked_draws_equal_one_draw(self, monkeypatch, chunk):
-        # a run longer than one chunk draws its rows chunk by chunk from
-        # the same stream and merges the statistics; a small chunk size
-        # stands in for the 2**17 rows of a real run
-        trials, k, sigma, seed = 100, 5, 0.7, 23
-        phases = np.random.default_rng(seed).normal(0.0, sigma, (trials, k))
-        fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
-        monkeypatch.setattr(receiver, "_TRIAL_CHUNK", chunk)
-        cfg = ReceiverConfig(k=k, phase_error_sigma=sigma, rng_seed=seed)
-        chunks = list(receiver._phase_errors(cfg, trials))
-        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), phases)
-        mean, std = concentration_efficiency(cfg, trials)
-        assert mean == pytest.approx(fractions.mean(), rel=1e-14)
-        assert std == pytest.approx(fractions.std(), rel=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
     @pytest.mark.parametrize("k", [1, 3, 10, 16])
-    def test_mean_within_six_standard_errors_of_exact(self, k, sigma):
-        # each trial is a product of k independent cos^2(phi/2), phi ~ N(0,
-        # sigma^2), whose mean m2 and second moment m4 are exact
+    def test_sampled_statistics_within_six_standard_errors(self, k, sigma):
+        # the Monte Carlo that the closed form replaced, as an oracle: one
+        # seeded (trials, k) draw of phase errors
         trials = 20000
-        m2 = (1.0 + math.exp(-sigma**2 / 2.0)) / 2.0
-        m4 = (1.5 + 2.0 * math.exp(-sigma**2 / 2.0) + math.exp(-2.0 * sigma**2) / 2.0) / 4.0
-        std_err = math.sqrt((m4**k - m2 ** (2 * k)) / trials)
-        cfg = ReceiverConfig(k=k, phase_error_sigma=sigma, rng_seed=1000 + k)
-        mean, _ = concentration_efficiency(cfg, trials)
-        assert abs(mean - m2**k) <= 6.0 * std_err
+        phases = np.random.default_rng(1000 + k).normal(0.0, sigma, (trials, k))
+        fractions = np.prod(np.cos(phases / 2.0) ** 2, axis=1)
+        with mp.workdps(50):
+            raw = [factor_moment(j, sigma) ** k for j in range(1, 5)]
+            mu = raw[0]
+            var = raw[1] - mu**2
+            mu4 = raw[3] - 4 * raw[2] * mu + 6 * raw[1] * mu**2 - 3 * mu**4
+            std_err_mean = float(mp.sqrt(var / trials))
+            # delta method: the sample variance has variance (mu4 - var**2) / trials
+            std_err_std = float(mp.sqrt((mu4 - var**2) / trials) / (2 * mp.sqrt(var)))
+        mean, std = concentration_efficiency(ReceiverConfig(k=k, phase_error_sigma=sigma))
+        assert abs(fractions.mean() - mean) <= 6.0 * std_err_mean
+        assert abs(fractions.std() - std) <= 6.0 * std_err_std
 
-    def test_repeatable_for_fixed_seed(self):
-        cfg = ReceiverConfig(k=3, phase_error_sigma=0.4, rng_seed=17)
-        assert concentration_efficiency(cfg, 100) == concentration_efficiency(cfg, 100)
+    def test_does_not_depend_on_the_seed(self):
+        a = ReceiverConfig(k=3, phase_error_sigma=0.4, rng_seed=17)
+        b = ReceiverConfig(k=3, phase_error_sigma=0.4, rng_seed=18)
+        assert concentration_efficiency(a) == concentration_efficiency(b)
 
     def test_strong_phase_noise_scrambles_uniformly(self):
         # sigma >> 2 pi: the target bin keeps only its 1/2**k share
         cfg = ReceiverConfig(k=3, phase_error_sigma=10.0, rng_seed=7)
-        mean, std = concentration_efficiency(cfg, 10000)
+        mean, std = concentration_efficiency(cfg)
         assert 0.8 / 8.0 <= mean <= 1.2 / 8.0
         assert std > 0.0
 
@@ -355,16 +393,12 @@ class TestConcentrationEfficiency:
         defects = {}
         for sigma in (0.01, 0.02, 0.05):
             cfg = ReceiverConfig(k=3, phase_error_sigma=sigma, rng_seed=11)
-            mean, _ = concentration_efficiency(cfg, 4000)
+            mean, _ = concentration_efficiency(cfg)
             defects[sigma] = 1.0 - mean
         assert defects[0.02] / defects[0.01] == pytest.approx(4.0, rel=0.12)
         assert defects[0.05] / defects[0.01] == pytest.approx(25.0, rel=0.12)
         # per-module phase variance splits evenly: defect ~ (k/4) sigma^2
         assert defects[0.01] / 0.01**2 == pytest.approx(3.0 / 4.0, rel=0.1)
-
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
-            concentration_efficiency(ReceiverConfig(k=2), trials=0)
 
 
 class TestPatternIO:
