@@ -17,16 +17,18 @@ was raised (optimizer hit the search bound), 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
+from .floatfmt import format_floats
 from .linkbudget import (
     DEFAULT_CONSTANTS,
     LinkConfigError,
@@ -55,42 +57,74 @@ MAX_RECEIVER_K = 16
 # allocates the grid
 MAX_GRID_POINTS = 10**6
 
+# rows the table writer formats at a time
+_BLOCK_ROWS = 8192
+# distinct floats of a block from which format_floats beats repr
+_VECTOR_MIN = 1000
+
 SEPARATION_NOTE = (
     "note: consecutive codebook patterns must be separated by at least one "
     "pattern length at the transmitter; this demo simulates a single pattern"
 )
 
 
-def _cells(column: Iterable[object]) -> Iterable[str]:
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        # repr once per distinct bit pattern; the bits keep -0.0 apart
-        # from 0.0, which compare and hash equal as floats
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        return text[inverse].tolist()
-    return map(str, column)
+def _float_text(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64; vectorized from ``_VECTOR_MIN`` values on."""
+    if len(values) >= _VECTOR_MIN:
+        return format_floats(values)
+    return [repr(x) for x in values.tolist()]
+
+
+def _block_lines(columns: list[Sequence[object]], rows: slice) -> Iterator[str]:
+    """CSV lines of ``rows``, a cell per column as ``str`` of its value.
+
+    The float64 array columns are formatted together, once per distinct bit
+    pattern of each column: the bits keep -0.0 apart from 0.0, which compare
+    and hash equal as floats.
+    """
+    parts = [column[rows] for column in columns]
+    cells: list[Iterable[str]] = [map(str, part) for part in parts]
+    floats = [
+        i for i, part in enumerate(parts) if isinstance(part, np.ndarray) and part.dtype == np.float64
+    ]
+    found = [np.unique(parts[i].view(np.int64), return_inverse=True) for i in floats]
+    if found:
+        distinct = np.concatenate([bits for bits, _ in found]).view(np.float64)
+        text = np.array(_float_text(distinct), dtype=object)
+        start = 0
+        for i, (bits, inverse) in zip(floats, found):
+            cells[i] = text[start : start + len(bits)][inverse].tolist()
+            start += len(bits)
+    return map(",".join, zip(*cells))
 
 
 def _write_table(
     out_path: str | None,
     command: str,
     params: dict[str, object],
-    table: dict[str, Iterable[object]],
+    table: dict[str, Sequence[object]],
 ) -> None:
     """Write ``table`` (column name -> cells, all of one length) as CSV.
 
     A cell is written as ``str`` of its value; a float64 array column, as
-    ``repr`` of each float, which is the same text.
+    ``repr`` of each float, which is the same text.  The rows are formatted
+    and written ``_BLOCK_ROWS`` at a time.
     """
+    columns = list(table.values())
+    n_rows = len(columns[0]) if columns else 0
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
     lines = [f"# photonlink {__version__} {command}"]
     lines += [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table))
-    lines += map(",".join, zip(*map(_cells, table.values()), strict=True))
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+    with (
+        open(out_path, "w", encoding="utf-8") if out_path is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        out.write("\n".join(lines) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            out.write("\n".join(_block_lines(columns, slice(start, start + _BLOCK_ROWS))) + "\n")
 
 
 def _bundled_config(name: str) -> str:

@@ -132,7 +132,10 @@ def _check_n_a(n_a: float) -> None:
 
 
 def _at_point(kernel, m: float, n_a: float, model: NoiseModel) -> MutualInfoResult:
-    mi = float(kernel(_one(m), _one(n_a), model.kind, _one(model.n_b))[0])
+    # the errstate of optimize._maximize: (M - 1) log(1 - p_b) overflows to
+    # -inf, the right limit, where a Poisson n_b is above about 1.8e299
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mi = float(kernel(_one(m), _one(n_a), model.kind, _one(model.n_b))[0])
     return MutualInfoResult(mi_per_bin=mi, pie=mi / n_a if n_a > 0.0 else 0.0)
 
 

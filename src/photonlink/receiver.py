@@ -142,6 +142,10 @@ def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
             f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
         )
     phases = np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, cfg.k)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(
+            f"phase_error_sigma = {cfg.phase_error_sigma!r} is too large: a phase draw overflowed"
+        )
     amps = pattern.amps
     for i in range(1, cfg.k + 1):
         amps = _module(amps, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)

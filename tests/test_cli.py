@@ -5,6 +5,7 @@ inspects exit codes, files written to ``tmp_path``, or captured output.
 """
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -119,8 +120,127 @@ class TestWriteTable:
         assert out.read_text(encoding="utf-8").splitlines()[2:] == want
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        # before the file is opened
+        out = tmp_path / "t.csv"
         with pytest.raises(ValueError):
-            cli._write_table(str(tmp_path / "t.csv"), "demo", {}, {"a": [1, 2], "b": [1]})
+            cli._write_table(str(out), "demo", {}, {"a": [1, 2], "b": [1]})
+        assert not out.exists()
+
+    @staticmethod
+    def block_table(rows, seed):
+        # distinct floats per block: about 3 per row, plus a pool of 20
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[0.0, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan],
+                               rng.standard_normal(12) * 10.0 ** rng.integers(-300, 300, 12)])
+        return {
+            "bin": range(rows),
+            "unique": rng.standard_normal(rows),
+            "scaled": rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows),
+            "pooled": rng.choice(pool, rows),
+            "energy": np.abs(rng.standard_normal(rows)),
+            "flag": rng.choice(["ok", "boundary"], rows).tolist(),
+        }
+
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
+    def test_blocks_give_the_text_of_str_per_row(self, tmp_path, rows):
+        # the blocks of 8192 rows straddle the cut-over: a full block has
+        # about 24,000 distinct floats, the 1-row tail block 4
+        table = self.block_table(rows, seed=rows)
+        rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
+        want = [",".join(map(str, row)) for row in rows_text]
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == ",".join(table)
+        assert lines[2:] == want
+
+    @pytest.mark.parametrize("vector_min", [0, 10**9])
+    def test_both_sides_of_the_cut_over_write_the_same_bytes(self, tmp_path, monkeypatch, vector_min):
+        table = self.block_table(300, seed=5)
+        reference = tmp_path / "reference.csv"
+        cli._write_table(str(reference), "demo", {}, table)
+        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_bytes() == reference.read_bytes()
+
+
+# sha256 of the data section (the lines after the '#' header, which echoes
+# absolute config paths) of fixed runs, from the row-wise repr writer; a
+# pie-sweep writes one file per scheme
+PINNED_RUNS = {
+    "table1": ["table1"],
+    "pie-sweep": ["pie-sweep"],
+    "link": ["link"],
+    "receiver": ["receiver"],
+    "pie-sweep-boundary": ["pie-sweep", "--n-b", "0", "1e-3", "--na-grid", "1e-12", "1e-2", "11"],
+    **{
+        f"receiver-k{k}-nb{n_b}": [
+            "receiver", "--k", str(k), "--target-bin", "5", "--loss", "0.97", "--phase-sigma", "0.05",
+            "--model", "both", "--n-b", n_b, "--seed", "7",
+        ]
+        for k in (6, 10, 12, 16)
+        for n_b in ("0", "30")
+    },
+}
+PINNED_SHA256 = {
+    "table1.csv": "78283115a0bd124072202d44bec660f3950ce446ade5c920d812c5a0ce558872",
+    "pie-sweep_ook.csv": "3cf953ece976aa92c6879cadd7ba45fabab62bc1e71c8458b84f31c53dfd6f03",
+    "pie-sweep_ppm.csv": "20784aea23d18283d1b5f6abd32b7e2069d3b8ee9aa3b4eab5b6a352372d9a4c",
+    "link.csv": "2ce635f3c28a2a520445cd51db7b1517594d0a80273b2feeab4ca128df0cf898",
+    "receiver.csv": "c374c9d15aa54f4aea5f7a796ebd4a5b43eae95a2edd794884e49fab8551ea84",
+    "pie-sweep-boundary_ook.csv": "9f12148365e2e7ff77e13403d30ac2bce59f345121687a6c35377b0defb71658",
+    "pie-sweep-boundary_ppm.csv": "5ef21d625adccc23f1761a655c02e1215bd7d5e4722b086a54758b9dbca9ad6d",
+    "receiver-k6-nb0.csv": "2bd0235c3b37ce394495d89e749e28b502f5c51b6c6b2a68fb42d1876478c2d9",
+    "receiver-k6-nb30.csv": "ffcd42453816c6027fb94f86c1e0257ca32f220409f0d8aa65e3f13441e8a745",
+    "receiver-k10-nb0.csv": "bebd56e48a7ee20318e944e65e43ba5016fbb116c372227134b477669196dead",
+    "receiver-k10-nb30.csv": "17c8a5672807ba76cfb4d58eed10d8a6ed49cc3529c355cb3d79dddf66c8fe52",
+    "receiver-k12-nb0.csv": "260d982d90a7780b7f1cc308829d8276107bb8616c9a973d84b340b1b8f2272d",
+    "receiver-k12-nb30.csv": "0f45a60f30c4089871fc10f9b500980781b16ca80279c28d23d7e882ca7f033a",
+    "receiver-k16-nb0.csv": "827ef0db3be81583a66f7880c54afbaa440bc9a5e10ebfc80f528855c6e46b56",
+    "receiver-k16-nb30.csv": "deed4d22ac4314fc70d3c5f9a0be957cc0f9915e54e91cc058b87180f83119b0",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_data_section_is_byte_identical(self, tmp_path, name):
+        code = cli.main(PINNED_RUNS[name] + ["--out", str(tmp_path / f"{name}.csv")])
+        assert code == (1 if name == "pie-sweep-boundary" else 0)
+        files = sorted(path.name for path in tmp_path.iterdir())
+        assert files == sorted({f"{name}.csv", f"{name}_ook.csv", f"{name}_ppm.csv"} & set(PINNED_SHA256))
+        for file in files:
+            data = "".join(
+                line for line in (tmp_path / file).read_text(encoding="utf-8").splitlines(keepends=True)
+                if not line.startswith("#")
+            )
+            assert hashlib.sha256(data.encode("utf-8")).hexdigest() == PINNED_SHA256[file], file
+
+    def test_boundary_run_has_boundary_rows(self, tmp_path):
+        assert cli.main(PINNED_RUNS["pie-sweep-boundary"] + ["--out", str(tmp_path / "b.csv")]) == 1
+        rows = parse_table((tmp_path / "b_ppm.csv").read_text(encoding="utf-8"))[1]
+        assert any(row["flag"] == "boundary" for row in rows)
+
+
+def test_small_tables_do_not_build_the_format_tables(tmp_path):
+    # table1 and a default pie-sweep format every float with repr; the
+    # tables of the vectorized formatter are built by its first call only
+    code = f"""
+from photonlink import cli, floatfmt
+out = {str(tmp_path)!r}
+cli.main(["table1", "--out", out + "/t1.csv"])
+cli.main(["pie-sweep", "--out", out + "/sweep.csv"])
+print(floatfmt._tables.cache_info().currsize)
+cli.main(["receiver", "--k", "8", "--phase-sigma", "0.1", "--out", out + "/rx.csv"])
+print(floatfmt._tables.cache_info().currsize)
+"""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=120, check=True, capture_output=True, text=True,
+    )
+    assert done.stdout.split() == ["0", "1"]
 
 
 class TestRepeatedCalls:

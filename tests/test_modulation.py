@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import mp_reference
 from photonlink.modulation import (
+    MutualInfoResult,
     _ook_mi,
     _ppm_mi,
     binary_entropy,
@@ -272,6 +273,13 @@ class TestKernelsAgainstMpmath:
         for m in [m_min, 2.5, 30.0, 101.0, 1e3, 1e5, 1e7, 1e9]:
             if m >= m_min:
                 assert_kernel_matches_closed_form(scheme, kind, m, n_a, n_b)
+
+    @pytest.mark.parametrize("make", [poissonian, gaussian])
+    def test_overflowing_background_term_gives_zero_without_a_warning(self, make):
+        # (M - 1) log(1 - p_b) overflows to -inf, the right limit, at a
+        # Poisson n_b above about 1.8e299; RuntimeWarning is an error here
+        for function in (ppm_mi_per_bin, ook_mi_per_bin):
+            assert function(1e9, 1e-3, make(1e308)) == MutualInfoResult(0.0, 0.0)
 
     def test_large_background_keeps_its_information(self):
         # Poisson p_b = 1 - e^-100 rounds to 1; the information does not vanish

@@ -235,6 +235,23 @@ class TestApplyReceiver:
         out = apply_receiver(pattern, ReceiverConfig(k=6, phase_error_sigma=0.1))
         assert built == [out]
 
+    def test_overflowing_phase_draw_is_refused_by_name(self):
+        # sigma * N(0, 1) overflows to inf for a draw above 1 at sigma 1.7e308;
+        # the cascade would turn it into nan amplitudes
+        cfg = ReceiverConfig(k=16, phase_error_sigma=1.7e308)
+        with pytest.raises(ValueError, match="phase_error_sigma"):
+            apply_receiver(make_pattern(16, 0), cfg)
+
+    def test_finite_phase_draws_are_unchanged(self):
+        # the phases are the first k draws of one seeded normal stream
+        k, sigma, seed = 5, 1e300, 4
+        phases = np.random.default_rng(seed).normal(0.0, sigma, k)
+        field = make_pattern(k, 3)
+        for i in range(1, k + 1):
+            field = apply_module(field, (1 << k) >> i, phases[i - 1], 0.9)
+        out = apply_receiver(make_pattern(k, 3), ReceiverConfig(k, 0.9, sigma, seed))
+        assert np.array_equal(out.amps, field.amps)
+
     def test_linearity_including_imperfections(self):
         cfg = ReceiverConfig(k=3, per_module_loss=0.9, phase_error_sigma=0.2, rng_seed=3)
         p = random_pattern(3, seed=31)
