@@ -24,13 +24,12 @@ from .linkbudget import (
 )
 from .modulation import (
     MutualInfoResult,
-    binary_entropy,
     ook_mi_per_bin,
     ppm_mi_enumeration_oracle,
     ppm_mi_per_bin,
 )
 from .noise import ClickProbabilities, NoiseModel, click_probs, gaussian, poissonian
-from .optimize import ModulationOptimum, SweepRow, optimize_M, sweep_pie
+from .optimize import ModulationOptimum, optimize_M, sweep_pie
 from .receiver import (
     FieldPattern,
     ReceiverConfig,
@@ -59,12 +58,10 @@ __all__ = [
     "poissonian",
     "gaussian",
     "MutualInfoResult",
-    "binary_entropy",
     "ppm_mi_per_bin",
     "ppm_mi_enumeration_oracle",
     "ook_mi_per_bin",
     "ModulationOptimum",
-    "SweepRow",
     "optimize_M",
     "sweep_pie",
     "Constants",

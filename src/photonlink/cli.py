@@ -180,22 +180,16 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
     kinds = _model_kinds(args.model)
     exit_code = 0
     for scheme in schemes:
-        rows, models = [], []
+        # lists, not float64 arrays: on tables this small, the writer's
+        # search for each array column's distinct floats costs more than it saves
+        table = {name: [] for name in ("n_a", "n_b", "model", "m_star", "pie", "pulse_energy", "flag")}
         for kind in kinds:
-            kind_rows = sweep_pie(n_a_grid, args.n_b, kind, scheme)
-            rows += kind_rows
-            models += [kind] * len(kind_rows)
-        if any(row.flag != FLAG_OK for row in rows):
+            sweep = sweep_pie(n_a_grid, args.n_b, kind, scheme)
+            table["model"] += [kind] * len(sweep["flag"])
+            for name, column in sweep.items():
+                table[name] += column.tolist()
+        if any(flag != FLAG_OK for flag in table["flag"]):
             exit_code = 1
-        table = {
-            "n_a": [row.n_a for row in rows],
-            "n_b": [row.n_b for row in rows],
-            "model": models,
-            "m_star": [row.m_star for row in rows],
-            "pie": [row.pie_star for row in rows],
-            "pulse_energy": [row.pulse_energy for row in rows],
-            "flag": [row.flag for row in rows],
-        }
         params = {
             "scheme": scheme,
             "model": args.model,

@@ -141,8 +141,8 @@ def noise_power_watts(
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Detected background power corresponding to n_b photons per bin."""
-    if n_b < 0.0:
-        raise ValueError(f"n_b must be >= 0, got {n_b!r}")
+    if not math.isfinite(n_b) or n_b < 0.0:
+        raise ValueError(f"n_b must be finite and >= 0, got {n_b!r}")
     # + 0.0 turns a background of -0.0 into 0.0
     return (n_b + 0.0) * constants.h * f_c_hz * bandwidth_hz
 
@@ -209,11 +209,15 @@ def rate_vs_distance(
     bad = ~(np.isfinite(r_m) & (r_m > 0.0))
     if bad.any():
         raise ValueError(f"distance_m must be finite and > 0, got {r_grid_m[bad.argmax()]!r}")
-    eta_ch = _transmission(lp_template, r_m, constants)
-    n_a = _photon_number(lp_template, eta_ch, constants)
+    # eta_ch and n_a overflow to inf at a tiny distance; the search then
+    # fails that point, which is reported below
+    with np.errstate(over="ignore"):
+        eta_ch = _transmission(lp_template, r_m, constants)
+        n_a = _photon_number(lp_template, eta_ch, constants)
     m_star, mi, at_boundary, failed = _maximize(n_a, np.full_like(n_a, noise.n_b), noise.kind, scheme)
     if failed.any():
-        raise ValueError(f"no optimum for n_a = {n_a[failed.argmax()]!r} at this distance")
+        i = failed.argmax()
+        raise ValueError(f"no optimum at distance_m = {r_m[i].item()!r}: n_a = {n_a[i].item()!r}")
     peak = _peak_power(m_star, n_a, lp_template, eta_ch, constants)
     return [
         DistanceRow(

@@ -40,12 +40,6 @@ _SERIES = np.array([[(-1) ** j / (j + 2) / (j + 1), (-1) ** j / (j + 2)] for j i
 _SERIES = _SERIES.reshape(-1, 2, 1, 1)
 
 
-def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    # a q log2(q) term is 0 at q = 0, as 0 * log2(_TINY)
-    y = 1.0 - x
-    return 0.0 - x * np.log2(np.maximum(x, _TINY)) - y * np.log2(np.maximum(y, _TINY))
-
-
 def _information(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Mutual information in nats from the cells of a joint distribution.
 
@@ -112,13 +106,6 @@ def _ook_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.nd
     np.multiply(p_on, p_b + on_gap, out=base[0, 0])
     np.multiply(p_off, on_dark + p_off * c_b, out=base[0, 1])
     return _information(base, k) * _LOG2_E
-
-
-def binary_entropy(x: float) -> float:
-    """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy requires 0 <= x <= 1, got {x!r}")
-    return float(_binary_entropy(_one(x))[0])
 
 
 def _check_m(m: float, m_min: float) -> None:

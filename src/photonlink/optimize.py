@@ -35,9 +35,14 @@ SCHEMES = (PPM, OOK)
 
 _M_MIN = {PPM: 2.0, OOK: 1.0}
 _MI = {PPM: _ppm_mi, OOK: _ook_mi}
+# points of the coarse logarithmic grid over [m_min, m_max]
+_COARSE_POINTS = 240
+# the vertex rounds stop once the peak lies between two probed M whose
+# ratio is at most 1 + 1e-6
+_TOL = math.log1p(1e-6)
 # the first evaluation scans every _STRIDE-th point of the coarse grid, so a
 # starting bracket spans up to 2 * _STRIDE grid cells (0.694 in log M for OOK
-# at the default grid)
+# at m_max = 1e9)
 _STRIDE = 4
 # probes per vertex round, at -28 .. 28 spacings from the round's centre
 _ZOOM = 57
@@ -53,9 +58,9 @@ _NEIGHBOURS = np.arange(3)
 # in log M).  At 72,294 interior optima over the CLI range the scan's vertex
 # missed the peak by at most 0.22 h**2, and 57 probes span +-0.84 h**2
 _CURVE = 0.03
-# the finest spacing, as a share of the final bracket: a best probe with a
-# probe either side leaves a bracket of 0.98 tol
-_FINE = 0.49
+# the finest spacing: a best probe with a probe either side leaves a
+# bracket of 0.98 _TOL
+_FINE = 0.49 * _TOL
 # points searched together; bounds the (points x grid) temporaries
 _BLOCK_POINTS = 64
 
@@ -75,18 +80,6 @@ class ModulationOptimum:
     at_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (n_b, n_a) point of an efficiency sweep."""
-
-    n_a: float
-    n_b: float
-    m_star: float
-    pie_star: float
-    pulse_energy: float
-    flag: str
-
-
 def _check_range(scheme: str, m_max: float) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -95,7 +88,7 @@ def _check_range(scheme: str, m_max: float) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _scan(scheme: str, m_max: float, coarse_points: int) -> tuple[np.ndarray, ...]:
+def _scan(scheme: str, m_max: float) -> tuple[np.ndarray, ...]:
     """The first evaluation's points, and each scanned point's triple.
 
     Returns:
@@ -107,8 +100,9 @@ def _scan(scheme: str, m_max: float, coarse_points: int) -> tuple[np.ndarray, ..
     """
     m_min = _M_MIN[scheme]
     lo, hi = math.log(m_min), math.log(m_max)
-    cells = np.array(sorted({0, coarse_points - 2, *range(coarse_points - 1, -1, -_STRIDE)}))
-    log_grid = lo + (hi - lo) * cells / (coarse_points - 1)
+    last = _COARSE_POINTS - 1
+    cells = np.array(sorted({0, last - 1, *range(last, -1, -_STRIDE)}))
+    log_grid = lo + (hi - lo) * cells / last
     m_first = np.concatenate(([m_min], np.exp(log_grid)))
     near = np.clip(np.arange(len(cells))[:, None] + [-1, 0, 1], 0, len(cells) - 1)
     tables = m_first, log_grid[near], near + 1
@@ -117,13 +111,13 @@ def _scan(scheme: str, m_max: float, coarse_points: int) -> tuple[np.ndarray, ..
     return tables
 
 
-def _vertex(tri, span, fine):
+def _vertex(tri, span):
     """Vertex of the parabola through each row's triple, and the spacing of
     the probes around it.
 
     ``tri[0]`` holds (a, x, b) in log M and ``tri[1]`` their values (fa,
     fx, fb); span = b - a.  The spacing is _CURVE * h**2, h = max(x - a,
-    b - x), held within [fine, span / (_ZOOM + 1)].  A triple whose
+    b - x), held within [_FINE, span / (_ZOOM + 1)].  A triple whose
     parabola has no maximum (flat, or bent upward, which takes a sentinel
     above x) gets the widest spacing, which spreads the probes evenly over
     (a, b); its vertex may then be NaN or infinite.
@@ -135,12 +129,12 @@ def _vertex(tri, span, fine):
     h = np.maximum(steps[0, :, 0], steps[0, :, 1])
     curve = _CURVE * h * h
     curve[q <= 0.0] = np.inf
-    spacing = np.minimum(np.maximum(curve, fine), span / (_ZOOM + 1))
+    spacing = np.minimum(np.maximum(curve, _FINE), span / (_ZOOM + 1))
     # x - ((x - a)**2 (fx - fb) - (b - x)**2 (fx - fa)) / 2q, rearranged
     return 0.5 * (tri[0, :, 1] + tri[0, :, 2] + span * down / q), spacing
 
 
-def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, rel_tol=1e-6):
+def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
     """Maximize mutual information per bin over M at every (n_a[i], n_b[i]).
 
     Points are searched in lockstep, ``_BLOCK_POINTS`` at a time.  The first
@@ -159,7 +153,7 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
     earlier probe beats every probe of the round: the peak lies in (a, b),
     and wherever it lies in there, no probe on the far side of the best one
     can be higher.  So the bracket needs no memory of earlier rounds.
-    Rounds end when b - a <= log1p(rel_tol).  The best value probed wins,
+    Rounds end when b - a <= ``_TOL``.  The best value probed wins,
     ties going to the first probed; a point whose bracket is done stays
     frozen while the rest of its block goes on.  Arguments are checked by
     callers.
@@ -171,11 +165,8 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
         n_a * m_max is not finite, and its other entries are meaningless.
     """
     mi = _MI[scheme]
-    m_first, near_x, near_col = _scan(scheme, m_max, coarse_points)
+    m_first, near_x, near_col = _scan(scheme, m_max)
     last = len(near_x) - 1
-    # a bracket on the log axis stops shrinking at about one ulp of log M
-    tol = max(math.log1p(rel_tol), 4.0 * math.ulp(math.log(m_max)))
-    fine = _FINE * tol
     n_a, n_b = np.asarray(n_a, dtype=float), np.asarray(n_b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = ~((n_a > 0.0) & np.isfinite(n_a * m_max))
@@ -200,17 +191,17 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
             tri = np.empty((2, len(values), 3))
             tri[0], tri[1] = near_x[i], values[col, near_col[i]]
             span = tri[0, :, 2] - tri[0, :, 0]
-            wide = span > tol
+            wide = span > _TOL
             # a round's probes 1 .. _ZOOM, with a and b as probes 0 and _ZOOM + 1:
             # log M in probes[0], values in probes[1]
             probes = np.empty((2, len(values), _ZOOM + 2))
-            vertex, spacing = _vertex(tri, span, fine)
+            vertex, spacing = _vertex(tri, span)
             # a best point at an end of the range has no vertex: pack the
             # probes at the finest spacing against that end
             end = (i == 0) | (i == last)
             if end.any():
                 vertex[end] = tri[0, end, 1]
-                spacing[end] = np.minimum(fine, span[end] / (_ZOOM + 1))
+                spacing[end] = np.minimum(_FINE, span[end] / (_ZOOM + 1))
             while wide.any():
                 probes[:, :, ::_ZOOM + 1] = tri[:, :, ::2]
                 # the centre nearest the vertex that keeps every probe inside (a, b)
@@ -226,37 +217,28 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9, coarse_points=240, re
                 np.copyto(m_best, m[rows, j], where=better)
                 np.copyto(mi_best, tri[1, :, 1], where=better)
                 span = tri[0, :, 2] - tri[0, :, 0]
-                wide &= span > tol
+                wide &= span > _TOL
                 if not wide.any():
                     break  # no round follows, so no vertex is needed
-                vertex, spacing = _vertex(tri, span, fine)
+                vertex, spacing = _vertex(tri, span)
         m_star[block], mi_star[block] = m_best, mi_best
     return m_star, mi_star, at_boundary, failed
 
 
-def optimize_M(
-    n_a: float,
-    model: NoiseModel,
-    scheme: str,
-    m_max: float = 1e9,
-    coarse_points: int = 240,
-    rel_tol: float = 1e-6,
-) -> ModulationOptimum:
+def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -> ModulationOptimum:
     """Maximize mutual information per bin over the modulation parameter M.
+
+    The first evaluation scans M = m_min and part of a 240-point
+    logarithmic grid over [m_min, m_max]: every 4th point counted down from
+    m_max, the first point and the last two.  Vertex rounds then narrow the
+    bracket until the peak lies between two probed M whose ratio is at most
+    1 + 1e-6.
 
     Args:
         n_a: average detected signal photons per bin, > 0.
         model: background noise model.
         scheme: "ppm" or "ook".
         m_max: upper end of the search range.
-        coarse_points: size of the coarse logarithmic grid, an integer
-            >= 200.  The first evaluation scans every 4th of its points
-            (counted down from m_max), its first point and its last two.
-        rel_tol: relative width of the final bracket of the vertex rounds,
-            > 0: the search stops once the peak lies between two probed M
-            whose ratio is at most 1 + rel_tol.  A value below the float
-            resolution of log M (4 ulps of log(m_max), about 1.4e-14 at
-            the default m_max) searches to that resolution instead.
 
     Returns:
         ModulationOptimum; ``at_boundary`` is set when the objective rises
@@ -266,14 +248,7 @@ def optimize_M(
     if not math.isfinite(n_a) or n_a <= 0.0:
         raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
     _check_range(scheme, m_max)
-    whole = math.isfinite(coarse_points) and coarse_points == int(coarse_points)
-    if not whole or coarse_points < 200:
-        raise ValueError(f"coarse_points must be an integer >= 200, got {coarse_points!r}")
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-    m_star, mi, at_boundary, failed = _maximize(
-        [n_a], [model.n_b], model.kind, scheme, m_max, int(coarse_points), rel_tol
-    )
+    m_star, mi, at_boundary, failed = _maximize([n_a], [model.n_b], model.kind, scheme, m_max)
     if failed[0]:
         raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
     m, value = float(m_star[0]), float(mi[0])
@@ -286,25 +261,29 @@ def sweep_pie(
     model_kind: str,
     scheme: str,
     m_max: float = 1e9,
-) -> list[SweepRow]:
+) -> dict[str, np.ndarray]:
     """Optimized efficiency over an (n_b, n_a) grid, searched in one batch.
 
-    Rows are ordered by (n_b, n_a) ascending.  A point whose optimization
-    fails is kept in the table with NaN values and flag "failed"; a point
-    whose optimum sits on the m_max bound is flagged "boundary".
+    Returns columns keyed by name, one entry per point in (n_b, n_a)
+    ascending order: float64 arrays ``n_a``, ``n_b``, ``m_star``, ``pie``
+    and ``pulse_energy``, then the str array ``flag``.  A point whose
+    optimization fails keeps NaN values and flag "failed"; a point whose
+    optimum sits on the m_max bound is flagged "boundary".
     """
     # the model rejects a bad kind or background and turns -0.0 into 0.0
     n_bs = [NoiseModel(model_kind, n_b).n_b for n_b in sorted(n_b_list)]
     _check_range(scheme, m_max)
-    points = [(n_a, n_b) for n_b in n_bs for n_a in sorted(n_a_grid)]
-    m_star, mi, at_boundary, failed = _maximize(
-        [n_a for n_a, _ in points], [n_b for _, n_b in points], model_kind, scheme, m_max
-    )
-    return [
-        SweepRow(n_a, n_b, math.nan, math.nan, math.nan, FLAG_FAILED)
-        if bad
-        else SweepRow(n_a, n_b, m, value / n_a, m * n_a, FLAG_BOUNDARY if edge else FLAG_OK)
-        for (n_a, n_b), m, value, edge, bad in zip(
-            points, m_star.tolist(), mi.tolist(), at_boundary.tolist(), failed.tolist()
-        )
-    ]
+    n_as = sorted(n_a_grid)
+    n_a = np.tile(np.array(n_as, dtype=float), len(n_bs))
+    n_b = np.repeat(np.array(n_bs, dtype=float), len(n_as))
+    m_star, mi, at_boundary, failed = _maximize(n_a, n_b, model_kind, scheme, m_max)
+    m_star[failed] = mi[failed] = np.nan
+    flag = np.where(failed, FLAG_FAILED, np.where(at_boundary, FLAG_BOUNDARY, FLAG_OK))
+    return {
+        "n_a": n_a,
+        "n_b": n_b,
+        "m_star": m_star,
+        "pie": mi / n_a,
+        "pulse_energy": m_star * n_a,
+        "flag": flag,
+    }

@@ -241,8 +241,10 @@ def load_pattern(path: str) -> FieldPattern:
     match = _HEADER_RE.match(header)
     if not match:
         raise PatternFormatError(f"{path}:1: expected '# k = <int> energy = <float>' header")
-    k = int(match.group(1))
-    energy = float(match.group(2))
+    try:
+        k, energy = int(match.group(1)), float(match.group(2))
+    except ValueError:
+        raise PatternFormatError(f"{path}:1: header k or energy is not a number: {header!r}") from None
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlink.modulation import (
-    _binary_entropy,
-    _ook_mi,
-    _ppm_mi,
-    binary_entropy,
-    ook_mi_per_bin,
-    ppm_mi_per_bin,
-)
+from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import MODEL_KINDS, NoiseModel, _click_probs, click_probs
 from photonlink.optimize import OOK, PPM, SCHEMES, optimize_M, sweep_pie
 
@@ -128,12 +121,6 @@ def test_broadcast_click_kernel_equals_click_probs(kind, n_bs, energies):
             assert (p_b[i, 0], p_p[i, j]) == (probs.p_b, probs.p_p)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
-def test_broadcast_binary_entropy_equals_the_scalar(xs):
-    assert _binary_entropy(np.array(xs)).tolist() == [binary_entropy(x) for x in xs]
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from(SCHEMES),
@@ -142,11 +129,9 @@ def test_broadcast_binary_entropy_equals_the_scalar(xs):
     st.lists(N_B, min_size=1, max_size=2),
 )
 def test_sweep_rows_equal_single_optimizations(scheme, kind, n_as, n_bs):
-    for row in sweep_pie(n_as, n_bs, kind, scheme):
-        opt = optimize_M(row.n_a, NoiseModel(kind, row.n_b), scheme)
-        assert (row.m_star, row.pie_star, row.pulse_energy) == (
-            opt.m_star,
-            opt.pie_star,
-            opt.pulse_energy,
-        )
-        assert row.flag == ("boundary" if opt.at_boundary else "ok")
+    sweep = {name: column.tolist() for name, column in sweep_pie(n_as, n_bs, kind, scheme).items()}
+    assert len(sweep["flag"]) == len(n_as) * len(n_bs)
+    for n_a, n_b, m_star, pie, pulse_energy, flag in zip(*sweep.values()):
+        opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme)
+        assert (m_star, pie, pulse_energy) == (opt.m_star, opt.pie_star, opt.pulse_energy)
+        assert flag == ("boundary" if opt.at_boundary else "ok")

@@ -586,6 +586,16 @@ class TestLink:
             cli.main(["link", "--schemes", "qam"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distance_is_named_as_a_float(self, tmp_path, capsys):
+        out = tmp_path / "link.csv"
+        assert cli.main(["link", "--r-au-grid", "1e-160", "1", "3", "--out", str(out)]) == 2
+        distance = 1e-160 * DEFAULT_CONSTANTS.au_m
+        assert capsys.readouterr().err == (
+            f"photonlink link: error: no optimum at distance_m = {distance!r}: n_a = inf\n"
+        )
+        assert not out.exists()
+
     def test_rejects_repeated_scheme(self, tmp_path, capsys):
         out = tmp_path / "link.csv"
         assert cli.main(["link", "--schemes", "ook", "ppm", "ppm", "--out", str(out)]) == 2

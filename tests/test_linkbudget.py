@@ -196,6 +196,12 @@ class TestNoisePower:
             noise_power_watts(-1e-3, 2e14, 2e9)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_background(self, bad):
+        with pytest.raises(ValueError, match="n_b must be finite and >= 0"):
+            noise_power_watts(bad, 2e14, 2e9)
+
+
 class TestPeakPower:
     def test_unit_duty_cycle_recovers_average_power(self, optical_lp):
         n_a = received_photon_number(optical_lp)
@@ -282,6 +288,12 @@ class TestRateVsDistance:
         rows = rate_vs_distance(optical_lp, poissonian(0.0), PPM, [au, 3e4 * au])
         assert rows[0].flag == FLAG_OK
         assert rows[1].flag == FLAG_BOUNDARY
+
+    # eta_ch overflows to inf at this distance, so n_a * m_max is not finite
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_photon_number_names_the_distance(self, optical_lp):
+        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1e-190: n_a = inf$"):
+            rate_vs_distance(optical_lp, poissonian(1e-2), PPM, [1e-190])
 
     def test_rejects_unknown_scheme(self, optical_lp):
         with pytest.raises(ValueError):

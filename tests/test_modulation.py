@@ -18,7 +18,6 @@ from photonlink.modulation import (
     MutualInfoResult,
     _ook_mi,
     _ppm_mi,
-    binary_entropy,
     ook_mi_per_bin,
     ppm_mi_enumeration_oracle,
     ppm_mi_per_bin,
@@ -63,23 +62,6 @@ def ook_joint_mi_oracle(m, n_a, model):
             if joint[i][j] > 0.0:
                 mi += joint[i][j] * math.log2(joint[i][j] / (p_x[i] * p_y[j]))
     return mi
-
-
-class TestBinaryEntropy:
-    def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_peak(self):
-        assert binary_entropy(0.5) == 1.0
-
-    def test_symmetry(self):
-        assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7), rel=1e-15)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            binary_entropy(bad)
 
 
 class TestPpmClosedForm:

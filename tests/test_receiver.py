@@ -457,6 +457,18 @@ class TestPatternIO:
         with pytest.raises(PatternFormatError, match="header"):
             load_pattern(str(path))
 
+    # each header matches the header pattern, but a number in it does not parse
+    @pytest.mark.parametrize(
+        "header",
+        ["# k = 2 energy = 1e", "# k = 2 energy = -.", f"# k = {'1' * 5000} energy = 1.0"],
+        ids=["bare-exponent", "bare-point", "5000-digit-k"],
+    )
+    def test_unparsable_header_number_rejected_with_its_line(self, tmp_path, header):
+        path = tmp_path / "header.txt"
+        path.write_text(f"{header}\n0 1 0 0 0\n", encoding="utf-8")
+        with pytest.raises(PatternFormatError, match=re.escape(f"{path}:1:")):
+            load_pattern(str(path))
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("# k = 2 energy = 1.0\n0 1 0 0 0\n", encoding="utf-8")
