@@ -8,6 +8,9 @@ Four subcommands:
 * ``receiver``   structured-receiver demo: codebook pattern, output field,
                  click probabilities, exact concentration-efficiency statistics
 
+``pie-sweep`` and ``link`` run one M search per scheme, holding the points
+of every noise model given.
+
 Output is CSV with a '#'-prefixed metadata header that echoes the command
 and every parameter; given the same arguments the data section is
 byte-identical between runs.  Exit codes: 0 success, 1 a computational flag
@@ -28,18 +31,19 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
+from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
 from .floatfmt import format_floats
 from .linkbudget import (
     DEFAULT_CONSTANTS,
     LinkConfigError,
     REFERENCE_REGIMES,
+    _distance_sweep,
     load_link_params,
     noise_power_watts,
-    rate_vs_distance,
     regime_summary,
 )
 from .noise import GAUSS, POISSON, NoiseModel
-from .optimize import FLAG_OK, OOK, PPM, sweep_pie
+from .optimize import FLAG_OK, OOK, PPM, _sweep
 from .receiver import (
     PatternFormatError,
     ReceiverConfig,
@@ -180,14 +184,11 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
     kinds = _model_kinds(args.model)
     exit_code = 0
     for scheme in schemes:
-        # lists, not float64 arrays: on tables this small, the writer's
-        # search for each array column's distinct floats costs more than it saves
-        table = {name: [] for name in ("n_a", "n_b", "model", "m_star", "pie", "pulse_energy", "flag")}
-        for kind in kinds:
-            sweep = sweep_pie(n_a_grid, args.n_b, kind, scheme)
-            table["model"] += [kind] * len(sweep["flag"])
-            for name, column in sweep.items():
-                table[name] += column.tolist()
+        # one search over every model; lists, not float64 arrays: on tables
+        # this small, the writer's search for each array column's distinct
+        # floats costs more than it saves
+        sweep = _sweep(n_a_grid, args.n_b, kinds, scheme)
+        table = {name: column.tolist() for name, column in sweep.items()}
         if any(flag != FLAG_OK for flag in table["flag"]):
             exit_code = 1
         params = {
@@ -214,29 +215,25 @@ def cmd_link(args: argparse.Namespace) -> int:
         raise ValueError(f"scheme {repeated[0]!r} given more than once in --schemes")
     kinds = _model_kinds(args.model)
 
-    runs = {
-        scheme: [
-            row
-            for kind in kinds
-            for row in rate_vs_distance(lp, NoiseModel(kind, args.n_b), scheme, r_grid_m)
-        ]
-        for scheme in schemes
-    }
+    # one search per scheme over every model
+    runs = {scheme: _distance_sweep(lp, kinds, args.n_b, scheme, r_grid_m) for scheme in schemes}
     first = runs[schemes[0]]
     table = {
-        "model": [kind for kind in kinds for _ in r_grid_au],
+        "model": first["model"].tolist(),
         "r_au": np.tile(r_grid_au, len(kinds)),
-        "n_a": [row.n_a for row in first],
+        "n_a": first["n_a"].tolist(),
     }
     exit_code = 0
-    for scheme, rows in runs.items():
-        if any(row.flag != FLAG_OK for row in rows):
+    for scheme, columns in runs.items():
+        table[f"rate_{scheme}_bps"] = columns["rate_bps"].tolist()
+        table[f"peak_power_{scheme}_w"] = columns["peak_power_w"].tolist()
+        table[f"flag_{scheme}"] = columns["flag"].tolist()
+        if any(flag != FLAG_OK for flag in table[f"flag_{scheme}"]):
             exit_code = 1
-        table[f"rate_{scheme}_bps"] = [row.rate_bps for row in rows]
-        table[f"peak_power_{scheme}_w"] = [row.peak_power_w for row in rows]
-        table[f"flag_{scheme}"] = [row.flag for row in rows]
-    table["rate_shannon_bps"] = [row.shannon_rate_bps for row in first]
-    table["rate_holevo_bps"] = [row.holevo_rate_bps for row in first]
+    # the reference rates depend on (n_a, n_b) only, so once per row
+    points = [PhotonNumbers(*point) for point in zip(table["n_a"], first["n_b"].tolist())]
+    table["rate_shannon_bps"] = [shannon_capacity(point) * lp.bandwidth_hz for point in points]
+    table["rate_holevo_bps"] = [holevo_capacity(point) * lp.bandwidth_hz for point in points]
 
     params = {
         "config": args.config,

@@ -11,6 +11,9 @@ and the detected signal photon number per bin of duration 1/B is
 ``DEFAULT_CONSTANTS`` uses the rounded c and astronomical unit that
 published link tables for the reference regimes below are based on;
 ``CODATA_CONSTANTS`` switches to the exact defined values.
+
+The distances of a table, under every noise model it lists, share one
+batched M search per scheme.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
-from .noise import NoiseModel
-from .optimize import FLAG_BOUNDARY, FLAG_OK, SCHEMES, _maximize
+from .noise import NoiseModel, _stacked_click_params
+from .optimize import SCHEMES, _flags, _maximize
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,58 @@ class DistanceRow:
         return holevo_capacity(PhotonNumbers(self.n_a, self.n_b)) * self.bandwidth_hz
 
 
+def _distance_sweep(
+    lp_template: LinkParams,
+    kinds: Sequence[str],
+    n_b: float,
+    scheme: str,
+    r_grid_m: Sequence[float],
+    constants: Constants = DEFAULT_CONSTANTS,
+) -> dict[str, np.ndarray]:
+    """Optimized data rate and peak power over a (kind, distance) grid,
+    searched in one batch.
+
+    Returns columns keyed by name, one entry per point with the kinds, then
+    the distances, in the given order: float64 arrays ``distance_m``,
+    ``n_a`` and ``n_b``, the str array ``model``, float64 arrays
+    ``m_star``, ``rate_bps`` and ``peak_power_w``, then the str array
+    ``flag``, "boundary" where the optimum sits on the search bound and
+    "ok" elsewhere.  A distance that is not finite and > 0, or whose n_a
+    has no optimum, raises ValueError naming it as a float.
+    """
+    for kind in kinds:
+        # the model rejects a bad kind or background and turns -0.0 into 0.0
+        n_b = NoiseModel(kind, n_b).n_b
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    r_grid_m = list(r_grid_m)
+    points = len(r_grid_m)
+    r_m = np.array(r_grid_m * len(kinds), dtype=float)
+    bad = ~(np.isfinite(r_m) & (r_m > 0.0))
+    if bad.any():
+        raise ValueError(f"distance_m must be finite and > 0, got {r_m[bad.argmax()].item()!r}")
+    # eta_ch and n_a overflow to inf at a tiny distance; the search then
+    # fails that point, which is reported below
+    with np.errstate(over="ignore"):
+        eta_ch = _transmission(lp_template, r_m, constants)
+        n_a = _photon_number(lp_template, eta_ch, constants)
+    clicks = _stacked_click_params(kinds, np.full(points, n_b))
+    m_star, mi, at_boundary, failed = _maximize(n_a, clicks, scheme)
+    if failed.any():
+        i = failed.argmax()
+        raise ValueError(f"no optimum at distance_m = {r_m[i].item()!r}: n_a = {n_a[i].item()!r}")
+    return {
+        "distance_m": r_m,
+        "n_a": n_a,
+        "n_b": np.full_like(n_a, n_b),
+        "model": np.repeat(kinds, points),
+        "m_star": m_star,
+        "rate_bps": mi * lp_template.bandwidth_hz,
+        "peak_power_w": _peak_power(m_star, n_a, lp_template, eta_ch, constants),
+        "flag": _flags(at_boundary, failed),
+    }
+
+
 def rate_vs_distance(
     lp_template: LinkParams,
     noise: NoiseModel,
@@ -202,37 +257,11 @@ def rate_vs_distance(
     batched search; rows keep the given order, and a boundary-pinned
     optimum flags its row instead of aborting.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    r_grid_m = list(r_grid_m)
-    r_m = np.array(r_grid_m, dtype=float)
-    bad = ~(np.isfinite(r_m) & (r_m > 0.0))
-    if bad.any():
-        raise ValueError(f"distance_m must be finite and > 0, got {r_grid_m[bad.argmax()]!r}")
-    # eta_ch and n_a overflow to inf at a tiny distance; the search then
-    # fails that point, which is reported below
-    with np.errstate(over="ignore"):
-        eta_ch = _transmission(lp_template, r_m, constants)
-        n_a = _photon_number(lp_template, eta_ch, constants)
-    m_star, mi, at_boundary, failed = _maximize(n_a, np.full_like(n_a, noise.n_b), noise.kind, scheme)
-    if failed.any():
-        i = failed.argmax()
-        raise ValueError(f"no optimum at distance_m = {r_m[i].item()!r}: n_a = {n_a[i].item()!r}")
-    peak = _peak_power(m_star, n_a, lp_template, eta_ch, constants)
+    columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, scheme, r_grid_m, constants)
+    fields = ("distance_m", "n_a", "m_star", "rate_bps", "peak_power_w", "flag", "n_b")
     return [
-        DistanceRow(
-            distance_m=distance_m,
-            n_a=n_a_r,
-            m_star=m,
-            rate_bps=value * lp_template.bandwidth_hz,
-            peak_power_w=peak_r,
-            flag=FLAG_BOUNDARY if edge else FLAG_OK,
-            n_b=noise.n_b,
-            bandwidth_hz=lp_template.bandwidth_hz,
-        )
-        for distance_m, n_a_r, m, value, peak_r, edge in zip(
-            r_grid_m, n_a.tolist(), m_star.tolist(), mi.tolist(), peak.tolist(), at_boundary.tolist()
-        )
+        DistanceRow(*row, bandwidth_hz=lp_template.bandwidth_hz)
+        for row in zip(*(columns[name].tolist() for name in fields))
     ]
 
 

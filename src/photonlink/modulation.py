@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, _click_split, _one, click_probs
+from .noise import NoiseModel, _click_params, _one, click_probs
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,17 @@ def _information(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     return base.sum(axis=(0, 1)).reshape(shape)
 
 
-def _ppm_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
-    """PPM mutual information per bin, broadcast over m, n_a and n_b; no validation.
+def _ppm_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
+    """PPM mutual information per bin, broadcast over m, n_a and the click
+    parameters ``clicks`` of noise._click_params; no validation.
 
     Per frame and in units of q_c, the right decision (1) and the wrong ones
     (w = (m - 1) q_w / q_c) exceed and fall short of their marginal products
     s / m and (m - 1) s / m, s = 1 + w, by k = (m - 1)(1 - q_w / q_c) / m,
-    where 1 - q_w / q_c = -expm1(log w) / p_p exactly (noise._click_split).
+    where 1 - q_w / q_c = -expm1(log w) / p_p exactly (noise._click_params).
     """
-    p_b, c_b, log_c_b, log_w = _click_split(kind, n_b, m * n_a)
+    p_b, c_b, log_c_b, d = clicks
+    log_w = m * n_a / d
     w_1 = np.expm1(log_w)
     p_p = p_b - c_b * w_1
     p_p_safe = np.maximum(p_p, _TINY)  # p_p = 0 only where k = 0
@@ -88,14 +90,16 @@ def _ppm_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.nd
     return p_p * np.exp(m_1 * log_c_b) * _information(base, k) * (_LOG2_E / m)
 
 
-def _ook_mi(m: np.ndarray, n_a: np.ndarray, kind: str, n_b: np.ndarray) -> np.ndarray:
-    """OOK mutual information per bin, broadcast over m, n_a and n_b; no validation.
+def _ook_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
+    """OOK mutual information per bin, broadcast over m, n_a and the click
+    parameters ``clicks`` of noise._click_params; no validation.
 
     The (pulse, click) cells p_on p_p and p_off (1 - p_b) exceed the
     products of their marginals by k = p_on p_off (p_p - p_b), and the cells
     p_on (1 - p_p) and p_off p_b fall short of them by k.
     """
-    p_b, c_b, _, log_w = _click_split(kind, n_b, m * n_a)
+    p_b, c_b, _, d = clicks
+    log_w = m * n_a / d
     p_on, p_off = 1.0 / m, (m - 1.0) / m
     on_gap = c_b * np.expm1(log_w) * -p_on  # p_on (p_p - p_b)
     k = p_off * on_gap
@@ -122,7 +126,7 @@ def _at_point(kernel, m: float, n_a: float, model: NoiseModel) -> MutualInfoResu
     # the errstate of optimize._maximize: (M - 1) log(1 - p_b) overflows to
     # -inf, the right limit, where a Poisson n_b is above about 1.8e299
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mi = float(kernel(_one(m), _one(n_a), model.kind, _one(model.n_b))[0])
+        mi = float(kernel(_one(m), _one(n_a), _click_params(model.kind, _one(model.n_b)))[0])
     return MutualInfoResult(mi_per_bin=mi, pie=mi / n_a if n_a > 0.0 else 0.0)
 
 

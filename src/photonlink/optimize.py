@@ -12,7 +12,9 @@ log-spaced probes on the vertex of the parabola through the best point and
 its two neighbours, which converges superlinearly on a smooth peak (Brent,
 Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every point
 of a grid is searched in lockstep by one array search, so a single point and
-a whole sweep take the same code path and give the same bits.  An optimum
+a whole sweep take the same code path and give the same bits.  Each point
+carries its own click parameters (noise._click_params), so one search
+holds points of both noise models.  An optimum
 pinned at the upper search bound is reported with ``at_boundary`` set
 instead of raising, so sweeps can flag rather than abort.
 """
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .modulation import _ook_mi, _ppm_mi
-from .noise import NoiseModel
+from .noise import NoiseModel, _click_params, _stacked_click_params
 
 PPM = "ppm"
 OOK = "ook"
@@ -67,6 +69,7 @@ _BLOCK_POINTS = 64
 FLAG_OK = "ok"
 FLAG_BOUNDARY = "boundary"
 FLAG_FAILED = "failed"
+_FLAG_TEXT = np.array([FLAG_OK, FLAG_BOUNDARY, FLAG_FAILED])
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,10 @@ def _vertex(tri, span):
     return 0.5 * (tri[0, :, 1] + tri[0, :, 2] + span * down / q), spacing
 
 
-def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
-    """Maximize mutual information per bin over M at every (n_a[i], n_b[i]).
+def _maximize(n_a, clicks, scheme: str, m_max=1e9):
+    """Maximize mutual information per bin over M at every point i: n_a[i]
+    and the click parameters (c[i] for c in ``clicks``, see
+    noise._click_params), so points of either noise kind share one search.
 
     Points are searched in lockstep, ``_BLOCK_POINTS`` at a time.  The first
     evaluation takes M = m_min and a subset of the coarse log grid: its first
@@ -167,7 +172,7 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
     mi = _MI[scheme]
     m_first, near_x, near_col = _scan(scheme, m_max)
     last = len(near_x) - 1
-    n_a, n_b = np.asarray(n_a, dtype=float), np.asarray(n_b, dtype=float)
+    n_a = np.asarray(n_a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = ~((n_a > 0.0) & np.isfinite(n_a * m_max))
     n_a = np.where(failed, 1.0, n_a)
@@ -175,11 +180,11 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
 
     for start in range(0, n_a.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        n_a_col, n_b_col = n_a[block, None], n_b[block, None]
+        n_a_col, clicks_col = n_a[block, None], [c[block, None] for c in clicks]
         # (M - 1) log(1 - p_b) overflows to -inf, the right limit, where a
         # Poisson n_b is above about 1.8e299
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = mi(m_first, n_a_col, kind, n_b_col)
+            values = mi(m_first, n_a_col, clicks_col)
             rows = np.arange(len(values))
             col = rows[:, None]
             best = values.argmax(axis=1)
@@ -209,7 +214,7 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
                 centre = np.fmin(np.fmax(vertex, inner[:, 0]), inner[:, 1])
                 np.add(centre[:, None], spacing[:, None] * _OFFSETS, out=probes[0, :, 1:-1])
                 m = np.exp(probes[0, :, 1:-1])
-                probes[1, :, 1:-1] = mi(m, n_a_col, kind, n_b_col)
+                probes[1, :, 1:-1] = mi(m, n_a_col, clicks_col)
                 j = probes[1, :, 1:-1].argmax(axis=1)
                 tri = probes[:, col, j[:, None] + _NEIGHBOURS]
                 # only a strict improvement moves the best, so the first probe to reach it stays
@@ -223,6 +228,48 @@ def _maximize(n_a, n_b, kind: str, scheme: str, m_max=1e9):
                 vertex, spacing = _vertex(tri, span)
         m_star[block], mi_star[block] = m_best, mi_best
     return m_star, mi_star, at_boundary, failed
+
+
+def _flags(at_boundary: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """The str column of point flags: failed, else boundary, else ok."""
+    return _FLAG_TEXT[np.where(failed, 2, at_boundary)]
+
+
+def _sweep(
+    n_a_grid: Sequence[float],
+    n_b_list: Sequence[float],
+    kinds: Sequence[str],
+    scheme: str,
+    m_max: float = 1e9,
+) -> dict[str, np.ndarray]:
+    """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one batch.
+
+    Returns columns keyed by name, one entry per point with the kinds in
+    the given order and n_b, then n_a, ascending: float64 arrays ``n_a``
+    and ``n_b``, the str array ``model``, float64 arrays ``m_star``,
+    ``pie`` and ``pulse_energy``, then the str array ``flag``.  A point
+    whose optimization fails keeps NaN values and flag "failed"; a point
+    whose optimum sits on the m_max bound is flagged "boundary".
+    """
+    for kind in kinds:
+        # the model rejects a bad kind or background and turns -0.0 into 0.0
+        n_bs = [NoiseModel(kind, n_b).n_b for n_b in sorted(n_b_list)]
+    _check_range(scheme, m_max)
+    n_as = np.array(sorted(n_a_grid), dtype=float)
+    n_b = np.repeat(np.array(n_bs, dtype=float), len(n_as))
+    n_a = np.tile(n_as, len(n_bs) * len(kinds))
+    clicks = _stacked_click_params(kinds, n_b)
+    m_star, mi, at_boundary, failed = _maximize(n_a, clicks, scheme, m_max)
+    m_star[failed] = mi[failed] = np.nan
+    return {
+        "n_a": n_a,
+        "n_b": np.tile(n_b, len(kinds)),
+        "model": np.repeat(kinds, len(n_b)),
+        "m_star": m_star,
+        "pie": mi / n_a,
+        "pulse_energy": m_star * n_a,
+        "flag": _flags(at_boundary, failed),
+    }
 
 
 def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -> ModulationOptimum:
@@ -248,7 +295,10 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -
     if not math.isfinite(n_a) or n_a <= 0.0:
         raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
     _check_range(scheme, m_max)
-    m_star, mi, at_boundary, failed = _maximize([n_a], [model.n_b], model.kind, scheme, m_max)
+    # the search of _sweep on one point, without the grid and column
+    # building, which costs a one-point query more than it saves
+    clicks = _click_params(model.kind, np.array([model.n_b]))
+    m_star, mi, at_boundary, failed = _maximize(np.array([n_a]), clicks, scheme, m_max)
     if failed[0]:
         raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
     m, value = float(m_star[0]), float(mi[0])
@@ -270,20 +320,6 @@ def sweep_pie(
     optimization fails keeps NaN values and flag "failed"; a point whose
     optimum sits on the m_max bound is flagged "boundary".
     """
-    # the model rejects a bad kind or background and turns -0.0 into 0.0
-    n_bs = [NoiseModel(model_kind, n_b).n_b for n_b in sorted(n_b_list)]
-    _check_range(scheme, m_max)
-    n_as = sorted(n_a_grid)
-    n_a = np.tile(np.array(n_as, dtype=float), len(n_bs))
-    n_b = np.repeat(np.array(n_bs, dtype=float), len(n_as))
-    m_star, mi, at_boundary, failed = _maximize(n_a, n_b, model_kind, scheme, m_max)
-    m_star[failed] = mi[failed] = np.nan
-    flag = np.where(failed, FLAG_FAILED, np.where(at_boundary, FLAG_BOUNDARY, FLAG_OK))
-    return {
-        "n_a": n_a,
-        "n_b": n_b,
-        "m_star": m_star,
-        "pie": mi / n_a,
-        "pulse_energy": m_star * n_a,
-        "flag": flag,
-    }
+    columns = _sweep(n_a_grid, n_b_list, [model_kind], scheme, m_max)
+    del columns["model"]
+    return columns

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
-from photonlink.noise import MODEL_KINDS, NoiseModel, _click_probs, click_probs
-from photonlink.optimize import OOK, PPM, SCHEMES, optimize_M, sweep_pie
+from photonlink.noise import MODEL_KINDS, NoiseModel, _click_params, _click_probs, click_probs
+from photonlink.optimize import OOK, PPM, SCHEMES, _sweep, optimize_M, sweep_pie
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 M_MIN = {PPM: 2.0, OOK: 1.0}
@@ -100,7 +100,9 @@ def test_broadcast_kernels_equal_the_scalar_functions(case):
     scheme, kind, ms, n_as, n_bs = case
     kernel, scalar = (_ppm_mi, ppm_mi_per_bin) if scheme == PPM else (_ook_mi, ook_mi_per_bin)
     grid = kernel(
-        np.array(ms)[:, None, None], np.array(n_as)[None, :, None], kind, np.array(n_bs)[None, None, :]
+        np.array(ms)[:, None, None],
+        np.array(n_as)[None, :, None],
+        _click_params(kind, np.array(n_bs)[None, None, :]),
     )
     assert grid.shape == (len(ms), len(n_as), len(n_bs))
     for (i, j, k), value in np.ndenumerate(grid):
@@ -135,3 +137,19 @@ def test_sweep_rows_equal_single_optimizations(scheme, kind, n_as, n_bs):
         opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme)
         assert (m_star, pie, pulse_energy) == (opt.m_star, opt.pie_star, opt.pulse_energy)
         assert flag == ("boundary" if opt.at_boundary else "ok")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SCHEMES),
+    st.lists(N_A, min_size=1, max_size=4),
+    st.lists(N_B, min_size=1, max_size=3),
+)
+def test_one_search_over_both_models_equals_one_per_model(scheme, n_as, n_bs):
+    # the noise kind is per-point data, so points of both kinds can share
+    # a block of the lockstep search and still give each kind's own bits
+    both = _sweep(n_as, n_bs, MODEL_KINDS, scheme)
+    per_kind = [sweep_pie(n_as, n_bs, kind, scheme) for kind in MODEL_KINDS]
+    assert both["model"].tolist() == [kind for kind in MODEL_KINDS for _ in range(len(n_as) * len(n_bs))]
+    for name, column in per_kind[0].items():
+        assert both[name].tolist() == [x for sweep in per_kind for x in sweep[name].tolist()], name

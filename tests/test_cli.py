@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlink import __version__, capacity, cli
+from photonlink import __version__, capacity, cli, optimize
 from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
 from photonlink.noise import NoiseModel, poissonian
 from photonlink.optimize import OOK, PPM
@@ -28,6 +28,8 @@ from photonlink.receiver import (
     load_pattern,
     make_pattern,
 )
+
+RF_CONFIG = str(resources.files("photonlink").joinpath("configs/table1_rf.cfg"))
 
 OPTICAL_VALUES = {
     "f_c_hz": "2e14",
@@ -182,6 +184,14 @@ PINNED_RUNS = {
         for k in (6, 10, 12, 16)
         for n_b in ("0", "30")
     },
+    # runs whose points of both noise models share one search, or Gauss
+    # points at n_b = 0, where the two models' click statistics coincide;
+    # pinned from the code that searched each model on its own
+    "link-model-both": ["link", "--model", "both"],
+    "link-gauss-ook-nb0": [
+        "link", "--model", "gauss", "--schemes", "ook", "--n-b", "0", "--r-au-grid", "0.01", "1e4", "40",
+    ],
+    "pie-sweep-gauss": ["pie-sweep", "--model", "gauss", "--n-b", "0", "1e-3", "50"],
 }
 PINNED_SHA256 = {
     "table1.csv": "78283115a0bd124072202d44bec660f3950ce446ade5c920d812c5a0ce558872",
@@ -199,6 +209,10 @@ PINNED_SHA256 = {
     "receiver-k12-nb30.csv": "0f45a60f30c4089871fc10f9b500980781b16ca80279c28d23d7e882ca7f033a",
     "receiver-k16-nb0.csv": "827ef0db3be81583a66f7880c54afbaa440bc9a5e10ebfc80f528855c6e46b56",
     "receiver-k16-nb30.csv": "deed4d22ac4314fc70d3c5f9a0be957cc0f9915e54e91cc058b87180f83119b0",
+    "link-model-both.csv": "8c7087364f0ff1aba837429b356b4dd0db818d4a20b336e7670e75cea0da1575",
+    "link-gauss-ook-nb0.csv": "a5218dc6f93ce02427b993305917ddabac1326864599a56527835591f7dc91ac",
+    "pie-sweep-gauss_ook.csv": "6903167fe0b8e9da94c672fbf5382f8f9368b9b249f7300f0c93b9d4d54891f2",
+    "pie-sweep-gauss_ppm.csv": "a6dc9f1d41a704ccda03264d88426ff9fa96be25afb28f098f0ab2658154b50d",
 }
 
 
@@ -220,6 +234,67 @@ class TestPinnedOutput:
         assert cli.main(PINNED_RUNS["pie-sweep-boundary"] + ["--out", str(tmp_path / "b.csv")]) == 1
         rows = parse_table((tmp_path / "b_ppm.csv").read_text(encoding="utf-8"))[1]
         assert any(row["flag"] == "boundary" for row in rows)
+
+
+def data_lines(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+
+
+class TestOneSearchPerScheme:
+    """Every noise model of an invocation shares its scheme's one search."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        # points per call, wherever the package looks the search up
+        sizes = []
+        original = optimize._maximize
+
+        def counted(n_a, *args, **kwargs):
+            sizes.append(len(n_a))
+            return original(n_a, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("photonlink") and vars(module).get("_maximize") is original:
+                monkeypatch.setattr(module, "_maximize", counted)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["pie-sweep", "--scheme", "both", "--model", "both", "--n-b", "1e-2", "0"], [104, 104]),
+            (["pie-sweep", "--scheme", "both", "--model", "gauss", "--n-b", "1e-2", "0"], [52, 52]),
+            (["pie-sweep", "--scheme", "ook", "--model", "poisson"], [104]),
+            (["link", "--model", "both", "--schemes", "ppm", "ook"], [58, 58]),
+            (["link", "--model", "both", "--schemes", "ook"], [58]),
+            (["link", "--model", "gauss", "--schemes", "ppm", "ook"], [29, 29]),
+        ],
+    )
+    def test_searches_per_invocation(self, searches, tmp_path, argv, sizes):
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert searches == sizes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pie-sweep", "--scheme", "ppm", "--n-b", "0", "1e-3", "1e2", "--na-grid", "1e-10", "1", "9"],
+            ["pie-sweep", "--scheme", "ook", "--n-b", "1e-6", "30", "--na-grid", "1e-12", "1e-1", "7"],
+            ["link", "--n-b", "0.3", "--r-au-grid", "0.01", "1e4", "11"],
+            [
+                "link", "--config", RF_CONFIG, "--n-b", "66.68", "--schemes", "ook",
+                "--r-au-grid", "1e-3", "1e3", "6",
+            ],
+        ],
+    )
+    def test_model_both_rows_are_the_single_model_rows(self, tmp_path, argv):
+        codes, rows = [], []
+        for model in ("both", "poisson", "gauss"):
+            path = tmp_path / f"{model}.csv"
+            codes.append(cli.main(argv + ["--model", model, "--out", str(path)]))
+            rows.append(data_lines(path))
+        both, poisson, gauss = rows
+        assert both[0] == poisson[0] == gauss[0]  # the column names
+        assert both[1:] == poisson[1:] + gauss[1:]
+        assert codes[0] == max(codes[1:])
 
 
 def test_small_tables_do_not_build_the_format_tables(tmp_path):
@@ -590,6 +665,17 @@ class TestLink:
     def test_overflowing_distance_is_named_as_a_float(self, tmp_path, capsys):
         out = tmp_path / "link.csv"
         assert cli.main(["link", "--r-au-grid", "1e-160", "1", "3", "--out", str(out)]) == 2
+        distance = 1e-160 * DEFAULT_CONSTANTS.au_m
+        assert capsys.readouterr().err == (
+            f"photonlink link: error: no optimum at distance_m = {distance!r}: n_a = inf\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distance_is_named_as_a_float_under_both_models(self, tmp_path, capsys):
+        out = tmp_path / "link.csv"
+        argv = ["link", "--model", "both", "--r-au-grid", "1e-160", "1", "3", "--out", str(out)]
+        assert cli.main(argv) == 2
         distance = 1e-160 * DEFAULT_CONSTANTS.au_m
         assert capsys.readouterr().err == (
             f"photonlink link: error: no optimum at distance_m = {distance!r}: n_a = inf\n"

@@ -299,6 +299,12 @@ class TestRateVsDistance:
         with pytest.raises(ValueError):
             rate_vs_distance(optical_lp, poissonian(1e-2), "psk", [1.49e11])
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_distance_in_an_array_is_named_as_a_float(self, optical_lp, bad):
+        # the grid's own element type must not leak into the message
+        with pytest.raises(ValueError, match=rf"^distance_m must be finite and > 0, got {bad!r}$"):
+            rate_vs_distance(optical_lp, poissonian(1e-2), PPM, np.array([1e11, bad, 2e11]))
+
 
 class TestRegimeSummaries:
     """End-to-end reproduction of both published operating regimes."""

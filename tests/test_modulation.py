@@ -22,7 +22,15 @@ from photonlink.modulation import (
     ppm_mi_enumeration_oracle,
     ppm_mi_per_bin,
 )
-from photonlink.noise import GAUSS, MODEL_KINDS, NoiseModel, click_probs, gaussian, poissonian
+from photonlink.noise import (
+    GAUSS,
+    MODEL_KINDS,
+    NoiseModel,
+    _click_params,
+    click_probs,
+    gaussian,
+    poissonian,
+)
 
 # 50-digit evaluations rounded to float64
 PPM_BIN_M2_NA05_CLEAN = 0.31606027941427883   # (1 - 1/e) / 2
@@ -216,7 +224,7 @@ class TestProperties:
 
 
 def assert_kernel_matches_closed_form(scheme, kind, m, n_a, n_b):
-    got = KERNELS[scheme](np.array([m]), np.array([n_a]), kind, np.array([n_b]))[0]
+    got = KERNELS[scheme](np.array([m]), np.array([n_a]), _click_params(kind, np.array([n_b])))[0]
     want = mp_reference.mi_per_bin(scheme, kind, m, n_a, n_b)
     assert abs(mp.mpf(got) - want) <= KERNEL_ATOL + KERNEL_RTOL * want, (
         scheme, kind, m, n_a, n_b, got, mp.nstr(want, 17)
@@ -266,4 +274,5 @@ class TestKernelsAgainstMpmath:
     def test_large_background_keeps_its_information(self):
         # Poisson p_b = 1 - e^-100 rounds to 1; the information does not vanish
         for kernel in KERNELS.values():
-            assert kernel(np.array([2.0]), np.array([1e-6]), "poisson", np.array([1e2]))[0] > 0.0
+            clicks = _click_params("poisson", np.array([1e2]))
+            assert kernel(np.array([2.0]), np.array([1e-6]), clicks)[0] > 0.0

@@ -17,7 +17,14 @@ import photonlink
 from photonlink.capacity import holevo_pie_asymptote
 from photonlink.linkbudget import load_link_params, rate_vs_distance
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
-from photonlink.noise import MODEL_KINDS, NoiseModel, click_probs, gaussian, poissonian
+from photonlink.noise import (
+    MODEL_KINDS,
+    NoiseModel,
+    _click_params,
+    click_probs,
+    gaussian,
+    poissonian,
+)
 from photonlink.optimize import (
     FLAG_BOUNDARY,
     FLAG_FAILED,
@@ -243,7 +250,7 @@ class TestOptimizeAgainstMpmath:
         n_b, n_a, m_peak = 0.9912598116686517, 6.773283029565834e-08, 2.0088171472877536
         lo, hi = math.log(2.0), math.log(1e9)
         first_scanned = np.array([2.0, math.exp(lo + 3 * (hi - lo) / 239)])
-        values = _ppm_mi(first_scanned, np.array([n_a]), "poisson", np.array([n_b]))
+        values = _ppm_mi(first_scanned, np.array([n_a]), _click_params("poisson", np.array([n_b])))
         assert values[0] > values[1]
         _, mi_star = mp_reference.optimum(PPM, "poisson", n_b, n_a)
         opt = optimize_M(n_a, poissonian(n_b), PPM)
@@ -268,7 +275,7 @@ class TestOneLocalMaximum:
         m = np.geomspace(m_min, 1e9, 40001)
         n_as = np.geomspace(1e-10, 1.0, 21)
         for n_b in (0.0, 1e-10, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0, 30.0, 100.0):
-            values = kernel(m[:, None], n_as, kind, np.array([n_b]))
+            values = kernel(m[:, None], n_as, _click_params(kind, np.array([n_b])))
             for n_a, column in zip(n_as, values.T):
                 steps = np.diff(column)
                 rises = steps[steps != 0.0] > 0.0
@@ -291,7 +298,7 @@ class TestOneLocalMaximum:
         kernel, m_min = (_ppm_mi, 2.0) if scheme == PPM else (_ook_mi, 1.0)
         lo, hi = math.log(m_min), math.log(m_max)
         grid = np.exp(lo + (hi - lo) * np.arange(coarse_points) / (coarse_points - 1))
-        values = kernel(grid, np.array([n_a]), kind, np.array([n_b]))
+        values = kernel(grid, np.array([n_a]), _click_params(kind, np.array([n_b])))
         opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme, m_max)
         assert opt.at_boundary == (values.argmax() == coarse_points - 1)
 
