@@ -208,7 +208,11 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     lp = load_link_params(args.config)
     r_grid_au = _log_grid(*args.r_au_grid)
-    r_grid_m = r_grid_au * DEFAULT_CONSTANTS.au_m
+    with np.errstate(over="ignore"):
+        r_grid_m = r_grid_au * DEFAULT_CONSTANTS.au_m
+    far = np.isinf(r_grid_m)
+    if far.any():
+        raise ValueError(f"distance {r_grid_au[far.argmax()].item()!r} AU overflows in metres")
     schemes = args.schemes
     repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]
     if repeated:

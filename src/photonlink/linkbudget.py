@@ -13,7 +13,7 @@ published link tables for the reference regimes below are based on;
 ``CODATA_CONSTANTS`` switches to the exact defined values.
 
 The distances of a table, under every noise model it lists, share one
-batched M search per scheme.
+batched M search per scheme (optimize._maximize).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
-from .noise import NoiseModel, _stacked_click_params
-from .optimize import SCHEMES, _flags, _maximize
+from .noise import NoiseModel
+from .optimize import FLAG_FAILED, _maximize
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,8 @@ def _distance_sweep(
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> dict[str, np.ndarray]:
     """Optimized data rate and peak power over a (kind, distance) grid,
-    searched in one batch.
+    searched in one batch by optimize._maximize, which checks the kinds,
+    the background ``n_b`` and the scheme.
 
     Returns columns keyed by name, one entry per point with the kinds, then
     the distances, in the given order: float64 arrays ``distance_m``,
@@ -210,13 +211,9 @@ def _distance_sweep(
     "ok" elsewhere.  A distance that is not finite and > 0, or whose n_a
     has no optimum, raises ValueError naming it as a float.
     """
-    for kind in kinds:
-        # the model rejects a bad kind or background and turns -0.0 into 0.0
-        n_b = NoiseModel(kind, n_b).n_b
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
+    # the columns hold every kind's points in turn; the search takes one kind's
     r_m = np.array(r_grid_m * len(kinds), dtype=float)
     bad = ~(np.isfinite(r_m) & (r_m > 0.0))
     if bad.any():
@@ -226,20 +223,22 @@ def _distance_sweep(
     with np.errstate(over="ignore"):
         eta_ch = _transmission(lp_template, r_m, constants)
         n_a = _photon_number(lp_template, eta_ch, constants)
-    clicks = _stacked_click_params(kinds, np.full(points, n_b))
-    m_star, mi, at_boundary, failed = _maximize(n_a, clicks, scheme)
+    # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
+    n_b = np.full_like(n_a, n_b + 0.0)
+    m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
+    failed = flag == FLAG_FAILED
     if failed.any():
         i = failed.argmax()
         raise ValueError(f"no optimum at distance_m = {r_m[i].item()!r}: n_a = {n_a[i].item()!r}")
     return {
         "distance_m": r_m,
         "n_a": n_a,
-        "n_b": np.full_like(n_a, n_b),
+        "n_b": n_b,
         "model": np.repeat(kinds, points),
         "m_star": m_star,
         "rate_bps": mi * lp_template.bandwidth_hz,
         "peak_power_w": _peak_power(m_star, n_a, lp_template, eta_ch, constants),
-        "flag": _flags(at_boundary, failed),
+        "flag": flag,
     }
 
 

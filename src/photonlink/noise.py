@@ -13,15 +13,14 @@ The two models coincide exactly at n_b = 0 and to first order in small
 n_b and e_p.
 
 The mutual-information kernels take the model as data: ``_click_params``
-computes each point's click parameters once, and points of both models
-stack into one batch of the M search.
+computes each point's click parameters once, so one M search holds points
+of both models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,19 +83,12 @@ def _click_params(kind: str, n_b: np.ndarray) -> tuple[np.ndarray, ...]:
     A bin carrying a pulse of energy e stays dark with probability
     (1 - p_b) w, log w = e / d: d = -1 (poisson), so e / d is exactly -e, or
     d = -(n_b + 1) (gauss).  So 1 - p_p and p_p - p_b = -(1 - p_b)
-    expm1(log w) follow without rounding to 1.  The noise kind is data: the
-    parameters of points under different kinds stack into one batch."""
+    expm1(log w) follow without rounding to 1."""
     if kind == POISSON:
         log_c_b = -n_b
         return -np.expm1(log_c_b), np.exp(log_c_b), log_c_b, np.full_like(n_b, -1.0)
     t = n_b + 1.0
     return n_b / t, 1.0 / t, -np.log1p(n_b), -t
-
-
-def _stacked_click_params(kinds: Sequence[str], n_b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_click_params`` of the backgrounds ``n_b`` under each kind in turn, end to end."""
-    per_kind = [_click_params(kind, n_b) for kind in kinds]
-    return tuple(np.concatenate(part) for part in zip(*per_kind))
 
 
 def _one(x: float) -> np.ndarray:

@@ -10,13 +10,12 @@ so a scan of every 4th point of a coarse logarithmic grid brackets it.  Two
 vertex rounds then usually finish the search: each centres a cluster of
 log-spaced probes on the vertex of the parabola through the best point and
 its two neighbours, which converges superlinearly on a smooth peak (Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every point
-of a grid is searched in lockstep by one array search, so a single point and
-a whole sweep take the same code path and give the same bits.  Each point
-carries its own click parameters (noise._click_params), so one search
-holds points of both noise models.  An optimum
-pinned at the upper search bound is reported with ``at_boundary`` set
-instead of raising, so sweeps can flag rather than abort.
+Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every
+optimum goes through ``_maximize``, which checks its input, searches every
+point of a grid under each noise kind in lockstep, and flags each optimum,
+so a single point and a whole sweep take the same code path and give the
+same bits.  An optimum pinned at the upper search bound is flagged
+"boundary" instead of raising, so sweeps can flag rather than abort.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .modulation import _ook_mi, _ppm_mi
-from .noise import NoiseModel, _click_params, _stacked_click_params
+from .noise import MODEL_KINDS, NoiseModel, _click_params
 
 PPM = "ppm"
 OOK = "ook"
@@ -83,13 +82,6 @@ class ModulationOptimum:
     at_boundary: bool = False
 
 
-def _check_range(scheme: str, m_max: float) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if not math.isfinite(m_max) or m_max <= _M_MIN[scheme]:
-        raise ValueError(f"m_max must exceed {_M_MIN[scheme]}, got {m_max!r}")
-
-
 @functools.lru_cache(maxsize=32)
 def _scan(scheme: str, m_max: float) -> tuple[np.ndarray, ...]:
     """The first evaluation's points, and each scanned point's triple.
@@ -137,10 +129,14 @@ def _vertex(tri, span):
     return 0.5 * (tri[0, :, 1] + tri[0, :, 2] + span * down / q), spacing
 
 
-def _maximize(n_a, clicks, scheme: str, m_max=1e9):
-    """Maximize mutual information per bin over M at every point i: n_a[i]
-    and the click parameters (c[i] for c in ``clicks``, see
-    noise._click_params), so points of either noise kind share one search.
+def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=1e9):
+    """Maximize mutual information per bin over M at every point of a grid
+    (n_a[i], n_b[i]) under each noise kind of ``kinds`` in turn.
+
+    Checks every kind, then every n_b, then ``scheme`` and ``m_max``, and
+    raises ValueError on the first bad one; an n_b of -0.0 is read as 0.0.
+    The noise kind is data (noise._click_params), so the points of every
+    kind share one search.
 
     Points are searched in lockstep, ``_BLOCK_POINTS`` at a time.  The first
     evaluation takes M = m_min and a subset of the coarse log grid: its first
@@ -160,19 +156,32 @@ def _maximize(n_a, clicks, scheme: str, m_max=1e9):
     can be higher.  So the bracket needs no memory of earlier rounds.
     Rounds end when b - a <= ``_TOL``.  The best value probed wins,
     ties going to the first probed; a point whose bracket is done stays
-    frozen while the rest of its block goes on.  Arguments are checked by
-    callers.
+    frozen while the rest of its block goes on.
 
     Returns:
-        (m_star, mi_per_bin, at_boundary, failed) arrays.  ``at_boundary``
-        means the objective rises from the next-to-last grid point to the
-        last; ``failed`` marks a point whose n_a is not > 0 or whose
-        n_a * m_max is not finite, and its other entries are meaningless.
+        (m_star, mi_per_bin, flag) arrays, one entry per point under each
+        kind in turn.  ``flag`` is "failed" where n_a is not > 0 or
+        n_a * m_max is not finite, and m_star and mi_per_bin are NaN there;
+        else "boundary" where the objective rises from the next-to-last
+        grid point to the last; else "ok".
     """
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+    # -0.0 passes, but its click probabilities are -0.0 and the kernels divide by them
+    n_b = np.asarray(n_b, dtype=float) + 0.0
+    ok = np.isfinite(n_b) & (n_b >= 0.0)
+    if not ok.all():
+        raise ValueError(f"n_b must be finite and >= 0, got {n_b[ok.argmin()].item()!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if not math.isfinite(m_max) or m_max <= _M_MIN[scheme]:
+        raise ValueError(f"m_max must exceed {_M_MIN[scheme]}, got {m_max!r}")
+    n_a = np.concatenate([np.asarray(n_a, dtype=float)] * len(kinds))
+    clicks = np.concatenate([_click_params(kind, n_b) for kind in kinds], axis=1)
     mi = _MI[scheme]
     m_first, near_x, near_col = _scan(scheme, m_max)
     last = len(near_x) - 1
-    n_a = np.asarray(n_a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = ~((n_a > 0.0) & np.isfinite(n_a * m_max))
     n_a = np.where(failed, 1.0, n_a)
@@ -180,7 +189,7 @@ def _maximize(n_a, clicks, scheme: str, m_max=1e9):
 
     for start in range(0, n_a.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        n_a_col, clicks_col = n_a[block, None], [c[block, None] for c in clicks]
+        n_a_col, clicks_col = n_a[block, None], clicks[:, block, None]
         # (M - 1) log(1 - p_b) overflows to -inf, the right limit, where a
         # Poisson n_b is above about 1.8e299
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -227,12 +236,8 @@ def _maximize(n_a, clicks, scheme: str, m_max=1e9):
                     break  # no round follows, so no vertex is needed
                 vertex, spacing = _vertex(tri, span)
         m_star[block], mi_star[block] = m_best, mi_best
-    return m_star, mi_star, at_boundary, failed
-
-
-def _flags(at_boundary: np.ndarray, failed: np.ndarray) -> np.ndarray:
-    """The str column of point flags: failed, else boundary, else ok."""
-    return _FLAG_TEXT[np.where(failed, 2, at_boundary)]
+    m_star[failed] = mi_star[failed] = np.nan
+    return m_star, mi_star, _FLAG_TEXT[np.where(failed, 2, at_boundary)]
 
 
 def _sweep(
@@ -242,7 +247,9 @@ def _sweep(
     scheme: str,
     m_max: float = 1e9,
 ) -> dict[str, np.ndarray]:
-    """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one batch.
+    """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
+    batch by ``_maximize``, which checks the kinds, the backgrounds, the
+    scheme and m_max.
 
     Returns columns keyed by name, one entry per point with the kinds in
     the given order and n_b, then n_a, ascending: float64 arrays ``n_a``
@@ -251,24 +258,22 @@ def _sweep(
     whose optimization fails keeps NaN values and flag "failed"; a point
     whose optimum sits on the m_max bound is flagged "boundary".
     """
-    for kind in kinds:
-        # the model rejects a bad kind or background and turns -0.0 into 0.0
-        n_bs = [NoiseModel(kind, n_b).n_b for n_b in sorted(n_b_list)]
-    _check_range(scheme, m_max)
     n_as = np.array(sorted(n_a_grid), dtype=float)
-    n_b = np.repeat(np.array(n_bs, dtype=float), len(n_as))
+    # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
+    n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0
+    points = len(n_as) * len(n_bs)
+    # the columns hold every kind's points in turn; the search takes one kind's
     n_a = np.tile(n_as, len(n_bs) * len(kinds))
-    clicks = _stacked_click_params(kinds, n_b)
-    m_star, mi, at_boundary, failed = _maximize(n_a, clicks, scheme, m_max)
-    m_star[failed] = mi[failed] = np.nan
+    n_b = np.tile(np.repeat(n_bs, len(n_as)), len(kinds))
+    m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme, m_max)
     return {
         "n_a": n_a,
-        "n_b": np.tile(n_b, len(kinds)),
-        "model": np.repeat(kinds, len(n_b)),
+        "n_b": n_b,
+        "model": np.repeat(kinds, points),
         "m_star": m_star,
         "pie": mi / n_a,
         "pulse_energy": m_star * n_a,
-        "flag": _flags(at_boundary, failed),
+        "flag": flag,
     }
 
 
@@ -294,15 +299,11 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -
     """
     if not math.isfinite(n_a) or n_a <= 0.0:
         raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
-    _check_range(scheme, m_max)
-    # the search of _sweep on one point, without the grid and column
-    # building, which costs a one-point query more than it saves
-    clicks = _click_params(model.kind, np.array([model.n_b]))
-    m_star, mi, at_boundary, failed = _maximize(np.array([n_a]), clicks, scheme, m_max)
-    if failed[0]:
+    m_star, mi, flag = _maximize(np.array([n_a]), np.array([model.n_b]), (model.kind,), scheme, m_max)
+    if flag[0] == FLAG_FAILED:
         raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
     m, value = float(m_star[0]), float(mi[0])
-    return ModulationOptimum(m, value / n_a, value, m * n_a, bool(at_boundary[0]))
+    return ModulationOptimum(m, value / n_a, value, m * n_a, flag[0] == FLAG_BOUNDARY)
 
 
 def sweep_pie(

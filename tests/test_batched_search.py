@@ -1,14 +1,16 @@
 """The batched optimizer against the scalar search it replaced, and the
-one-path property: array kernels, scalar functions, single optimizations
-and sweeps give the same bits."""
+one-path property: array kernels, scalar functions, single optimizations,
+sweeps and link rows give the same bits."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import MODEL_KINDS, NoiseModel, _click_params, _click_probs, click_probs
 from photonlink.optimize import OOK, PPM, SCHEMES, _sweep, optimize_M, sweep_pie
@@ -137,6 +139,30 @@ def test_sweep_rows_equal_single_optimizations(scheme, kind, n_as, n_bs):
         opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme)
         assert (m_star, pie, pulse_energy) == (opt.m_star, opt.pie_star, opt.pulse_energy)
         assert flag == ("boundary" if opt.at_boundary else "ok")
+
+
+CONFIGS = [
+    str(resources.files("photonlink").joinpath(f"configs/table1_{name}.cfg")) for name in ("rf", "optical")
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SCHEMES),
+    st.sampled_from(MODEL_KINDS),
+    st.sampled_from(CONFIGS),
+    N_B,
+    st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=1, max_size=4),
+)
+def test_link_rows_equal_single_optimizations(scheme, kind, config, n_b, r_au):
+    lp = load_link_params(config)
+    model = NoiseModel(kind, n_b)
+    rows = rate_vs_distance(lp, model, scheme, [r * DEFAULT_CONSTANTS.au_m for r in r_au])
+    assert len(rows) == len(r_au)
+    for row in rows:
+        opt = optimize_M(row.n_a, model, scheme)
+        assert (row.m_star, row.rate_bps) == (opt.m_star, opt.mi_per_bin * lp.bandwidth_hz)
+        assert row.flag == ("boundary" if opt.at_boundary else "ok")
 
 
 @settings(max_examples=25, deadline=None)

@@ -249,9 +249,9 @@ class TestOneSearchPerScheme:
         sizes = []
         original = optimize._maximize
 
-        def counted(n_a, *args, **kwargs):
-            sizes.append(len(n_a))
-            return original(n_a, *args, **kwargs)
+        def counted(n_a, n_b, kinds, *args, **kwargs):
+            sizes.append(len(n_a) * len(kinds))
+            return original(n_a, n_b, kinds, *args, **kwargs)
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("photonlink") and vars(module).get("_maximize") is original:
@@ -272,6 +272,20 @@ class TestOneSearchPerScheme:
     def test_searches_per_invocation(self, searches, tmp_path, argv, sizes):
         assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         assert searches == sizes
+
+    def test_optimize_m_searches_one_point(self, searches):
+        optimize.optimize_M(1e-4, poissonian(1e-2), PPM)
+        assert searches == [1]
+
+    def test_sweep_pie_searches_its_grid_at_once(self, searches):
+        optimize.sweep_pie([1e-6, 1e-4, 1e-3, 1e-2], [1e-2, 0.0], "gauss", OOK)
+        assert searches == [8]
+
+    def test_rate_vs_distance_searches_its_grid_at_once(self, searches):
+        lp = load_link_params(RF_CONFIG)
+        r_grid_m = np.geomspace(0.1, 1e4, 5) * DEFAULT_CONSTANTS.au_m
+        assert len(rate_vs_distance(lp, poissonian(66.68), PPM, r_grid_m)) == 5
+        assert searches == [5]
 
     @pytest.mark.parametrize(
         "argv",
@@ -504,6 +518,7 @@ class TestGridArguments:
             ["pie-sweep", "--na-grid", "1e-6", "1e-1", "1e17"],
             ["link", "--r-au-grid", "1", "10", "inf"],
             ["link", "--r-au-grid", "1", "nan", "3"],
+            ["link", "--r-au-grid", "1e300", "1e308", "3"],
         ],
     )
     def test_unusable_grid_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -511,6 +526,15 @@ class TestGridArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"photonlink {argv[0]}: error: ")
         assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    # the grid is typed in AU, so a distance that overflows in metres is
+    # named in AU, before any search
+    @pytest.mark.filterwarnings("error")
+    def test_distance_overflowing_in_metres_is_named_in_au(self, tmp_path, capsys):
+        argv = ["link", "--r-au-grid", "1e300", "1e308", "3", "--out", str(tmp_path / "table.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "photonlink link: error: distance 1e+300 AU overflows in metres\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -556,6 +580,25 @@ class TestBackgroundEdges:
         assert parse_table(texts[0])[1] == parse_table(texts[1])[1]
         if argv[0] == "link":
             assert parse_table(texts[0])[0]["noise_power_w"] == "0.0"
+
+    # the search checks every background before it builds anything, and
+    # names the first bad one, in ascending order for pie-sweep, as a float
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["pie-sweep", "--n-b", "0.1", "-1"], "-1.0"),
+            (["pie-sweep", "--n-b", "nan"], "nan"),
+            (["pie-sweep", "--model", "gauss", "--n-b", "inf", "0.1"], "inf"),
+            (["link", "--n-b", "-1"], "-1.0"),
+            (["link", "--model", "both", "--n-b", "nan"], "nan"),
+        ],
+    )
+    def test_bad_background_is_a_usage_error(self, argv, value, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "table.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"photonlink {argv[0]}: error: n_b must be finite and >= 0, got {value}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     # (M - 1) log(1 - p_b) overflows to -inf above a Poisson n_b of about
     # 1.8e299, which is the right limit and must not warn

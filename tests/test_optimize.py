@@ -78,6 +78,16 @@ class TestOptimizeDomain:
         with pytest.raises(ValueError, match="m_max must exceed"):
             optimize_M(1e-12, poissonian(0.0), scheme, m_max=bad)
 
+    def test_sweep_rejects_unknown_kind(self):
+        with pytest.raises(ValueError) as excinfo:
+            sweep_pie([1e-3], [0.1], "thermal", PPM)
+        assert str(excinfo.value) == "kind must be one of ('poisson', 'gauss'), got 'thermal'"
+
+    def test_sweep_checks_background_before_scheme(self):
+        with pytest.raises(ValueError) as excinfo:
+            sweep_pie([1e-3], [-1.0], "poisson", "psk")
+        assert str(excinfo.value) == "n_b must be finite and >= 0, got -1.0"
+
 
 class TestNegativeZeroBackground:
     # -0.0 passes every n_b >= 0 check; repr tells it, and -inf, from the
