@@ -26,13 +26,13 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
-from .floatfmt import format_floats
+from .floatfmt import format_bytes, format_ints
 from .linkbudget import (
     DEFAULT_CONSTANTS,
     LinkConfigError,
@@ -43,7 +43,7 @@ from .linkbudget import (
     regime_summary,
 )
 from .noise import GAUSS, POISSON, NoiseModel
-from .optimize import FLAG_OK, OOK, PPM, _sweep
+from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _sweep
 from .receiver import (
     PatternFormatError,
     ReceiverConfig,
@@ -63,7 +63,7 @@ MAX_GRID_POINTS = 10**6
 
 # rows the table writer formats at a time
 _BLOCK_ROWS = 8192
-# distinct floats of a block from which format_floats beats repr
+# distinct floats of a block from which the byte path beats str
 _VECTOR_MIN = 1000
 
 SEPARATION_NOTE = (
@@ -72,34 +72,74 @@ SEPARATION_NOTE = (
 )
 
 
-def _float_text(values: np.ndarray) -> list[str]:
-    """``repr`` of each float64; vectorized from ``_VECTOR_MIN`` values on."""
-    if len(values) >= _VECTOR_MIN:
-        return format_floats(values)
-    return [repr(x) for x in values.tolist()]
-
-
-def _block_lines(columns: list[Sequence[object]], rows: slice) -> Iterator[str]:
-    """CSV lines of ``rows``, a cell per column as ``str`` of its value.
+def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes:
+    """UTF-8 CSV lines of ``rows``, a cell per column as ``str`` of its value.
 
     The float64 array columns are formatted together, once per distinct bit
     pattern of each column: the bits keep -0.0 apart from 0.0, which compare
-    and hash equal as floats.
+    and hash equal as floats.  From ``_VECTOR_MIN`` distinct floats on, the
+    block is built as bytes: the floats by ``format_bytes``, a ``range``
+    column by ``format_ints``, each other cell by ``str``.  Every text is a
+    NUL-padded row of one pool with its comma or newline after it; one
+    gather lays each table row's cells side by side, and one boolean
+    compress keeps the text and separators.  Below that, ``repr`` of the
+    distinct floats and ``str`` of the other cells are joined as ``str``,
+    which costs less there.
     """
     parts = [column[rows] for column in columns]
-    cells: list[Iterable[str]] = [map(str, part) for part in parts]
-    floats = [
-        i for i, part in enumerate(parts) if isinstance(part, np.ndarray) and part.dtype == np.float64
-    ]
+    floats = [i for i, part in enumerate(parts) if isinstance(part, np.ndarray) and part.dtype == np.float64]
     found = [np.unique(parts[i].view(np.int64), return_inverse=True) for i in floats]
-    if found:
-        distinct = np.concatenate([bits for bits, _ in found]).view(np.float64)
-        text = np.array(_float_text(distinct), dtype=object)
+    distinct = np.concatenate([np.empty(0, dtype=np.int64), *(bits for bits, _ in found)]).view(np.float64)
+    if len(distinct) < _VECTOR_MIN:
+        cells: list[Iterable[str]] = [map(str, part) for part in parts]
+        text = np.array([repr(x) for x in distinct.tolist()], dtype=object)
         start = 0
         for i, (bits, inverse) in zip(floats, found):
             cells[i] = text[start : start + len(bits)][inverse].tolist()
             start += len(bits)
-    return map(",".join, zip(*cells))
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+    # the pool's rows: the distinct floats of each float64 column, then a
+    # row per cell of each other column
+    n_rows = len(parts[0])
+    text, length = format_bytes(distinct)
+    texts, lengths = [text], [length]
+    cell = np.empty((n_rows, len(parts)), dtype=np.intp)
+    size = 0
+    for i, (bits, inverse) in zip(floats, found):
+        cell[:, i] = inverse + size
+        size += len(bits)
+    # str cells may hold NUL themselves
+    str_lengths = {}
+    for i, part in enumerate(parts):
+        if i in floats:
+            continue
+        if isinstance(part, range):
+            text, length = format_ints(np.arange(part.start, part.stop, part.step))
+        else:
+            encoded = [str(value).encode() for value in part]
+            length = str_lengths[i] = np.fromiter(map(len, encoded), dtype=np.intp, count=n_rows)
+            text = np.array(encoded, dtype=f"S{length.max() + 1}").view(np.uint8).reshape(n_rows, -1)
+        texts.append(text)
+        lengths.append(length)
+        cell[:, i] = np.arange(size, size + n_rows)
+        size += n_rows
+    # every text row ends in NUL, where its separator goes
+    width = max(text.shape[1] for text in texts)
+    pool = np.zeros((size, width), dtype=np.uint8)
+    start = 0
+    for text in texts:
+        pool[start : start + len(text), : text.shape[1]] = text
+        start += len(text)
+    separator = np.full(size, ord(","), dtype=np.uint8)
+    separator[cell[:, -1]] = ord("\n")
+    pool[np.arange(size), np.concatenate(lengths)] = separator
+    grid = pool.take(cell, axis=0)
+    # the text of a number holds no NUL, so what is not 0 is text or separator
+    keep = grid != 0
+    for i, length in str_lengths.items():
+        np.less_equal(np.arange(width), length[:, None], out=keep[:, i])
+    return grid[keep].tobytes()
 
 
 def _write_table(
@@ -108,11 +148,13 @@ def _write_table(
     params: dict[str, object],
     table: dict[str, Sequence[object]],
 ) -> None:
-    """Write ``table`` (column name -> cells, all of one length) as CSV.
+    """Write ``table`` (column name -> cells, all of one length) as UTF-8 CSV.
 
     A cell is written as ``str`` of its value; a float64 array column, as
-    ``repr`` of each float, which is the same text.  The rows are formatted
-    and written ``_BLOCK_ROWS`` at a time.
+    ``repr`` of each float, which is the same text.  The rows are built
+    ``_BLOCK_ROWS`` at a time as bytes by ``_block_bytes``, and each block
+    is written to ``out_path`` or to standard output's binary buffer; a
+    text-only standard output (``io.StringIO``) gets each block decoded.
     """
     columns = list(table.values())
     n_rows = len(columns[0]) if columns else 0
@@ -122,13 +164,19 @@ def _write_table(
     lines = [f"# photonlink {__version__} {command}"]
     lines += [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table))
-    with (
-        open(out_path, "w", encoding="utf-8") if out_path is not None
-        else contextlib.nullcontext(sys.stdout)
-    ) as out:
-        out.write("\n".join(lines) + "\n")
+    with contextlib.ExitStack() as stack:
+        if out_path is not None:
+            write = stack.enter_context(open(out_path, "wb")).write
+        elif hasattr(sys.stdout, "buffer"):
+            # what was written as text goes first
+            sys.stdout.flush()
+            write = sys.stdout.buffer.write
+        else:
+            def write(chunk: bytes) -> None:
+                sys.stdout.write(chunk.decode())
+        write(("\n".join(lines) + "\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
-            out.write("\n".join(_block_lines(columns, slice(start, start + _BLOCK_ROWS))) + "\n")
+            write(_block_bytes(columns, slice(start, start + _BLOCK_ROWS)))
 
 
 def _bundled_config(name: str) -> str:
@@ -222,6 +270,16 @@ def cmd_link(args: argparse.Namespace) -> int:
     # one search per scheme over every model
     runs = {scheme: _distance_sweep(lp, kinds, args.n_b, scheme, r_grid_m) for scheme in schemes}
     first = runs[schemes[0]]
+    # whether n_a has an optimum depends on n_a alone, not on scheme or model
+    failed = first["flag"] == FLAG_FAILED
+    if failed.any():
+        i = failed.argmax()
+        n_a = first["n_a"][i].item()
+        reason = (
+            "too far: n_a underflows to 0" if n_a == 0.0
+            else f"too near: pulse energy n_a * m_max overflows at n_a = {n_a!r}"
+        )
+        raise ValueError(f"distance {r_grid_au[i % len(r_grid_au)].item()!r} AU is {reason}")
     table = {
         "model": first["model"].tolist(),
         "r_au": np.tile(r_grid_au, len(kinds)),

@@ -1,26 +1,31 @@
-"""Shortest round-trip text of float64 arrays, computed in numpy.
+"""Shortest round-trip text of float64 arrays, computed in numpy, as ASCII bytes.
 
-``format_floats(a)`` returns ``[repr(x) for x in a.tolist()]``: for each
-float the shortest decimal that reads back to it, the one closest to it
-when several are that short, laid out as Python lays out ``repr``.  The
-digits come from Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020), which finds them with three products of the scaled
-significand and a 126-bit power of ten rounded to odd; numpy has no 128-bit
-integers, so the products run on 32-bit limbs in uint64.  The text is
-gathered from a table of character layouts keyed by sign, digit count and
-decimal-point position, so no per-value Python code runs.
+``format_bytes(a)`` returns the text of ``[repr(x) for x in a.tolist()]``:
+for each float the shortest decimal that reads back to it, the one closest
+to it when several are that short, laid out as Python lays out ``repr``.
+The text comes as a (len(a), 25) uint8 array, NUL padded, with each value's
+length, so a caller can gather it into a larger buffer without a Python
+string per value; ``format_floats(a)`` is the same text as a list of
+``str``.  ``format_ints(a)`` gives ``str`` of each integer below 10**17 in
+magnitude in the same layout.  The digits come from Schubfach (R.
+Giulietti, "The Schubfach way to render doubles", 2020), which finds them
+with three products of the scaled significand and a 126-bit power of ten
+rounded to odd; numpy has no 128-bit integers, so the products run on
+32-bit limbs in uint64.  The text is gathered from a table of character
+layouts keyed by sign, digit count and decimal-point position, so no
+per-value Python code runs.
 
 A call runs about a hundred numpy operations per block of 4096 values, so
-``repr`` is faster below about a thousand values.  The tables are built on
-the first call, not at import, and each thread that calls keeps about 2 MB
-of buffers.
+on a few hundred values it costs more than ``repr``.  The tables are built
+on the first call, not at import, and each thread that calls keeps about
+1.3 MB of buffers.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +46,9 @@ _SOURCE = "___A" "BCDE" "FGHI" "JKLM" "NOPQ" "_XYZ" "-.0e" "+inf" "a\0\0\0"
 _GROUPS = len(_SOURCE) // 4
 _CONSTANT_GROUPS = ("-.0e", "+inf", "a\0\0\0")
 _DIGITS = "ABCDEFGHIJKLMNOPQ"
-# longest repr of a float64: -1.2345678901234567e-308
-_WIDTH = 24
+# characters of a value's text and at least one \0 after them: the longest
+# repr of a float64, -1.2345678901234567e-308, has 24
+_WIDTH = 25
 # repr writes 0.ddd 10**decpt positionally for -4 < decpt <= 16
 _DECPT_MIN, _DECPT_MAX = -3, 16
 _EXP_FORMS = 4  # exponent sign, and 2 or 3 exponent digits
@@ -50,9 +56,11 @@ _POSITIONS = _DECPT_MAX - _DECPT_MIN + 1 + _EXP_FORMS
 # covers every decpt of a float64: 5e-324 has -323, 1.8e308 has 309
 _DECPT_LOW, _DECPT_HIGH = -330, 330
 # layout keys: (negative * 18 + digit count) * _POSITIONS + position, then
-# the fixed strings
+# the fixed strings, then the integers' negative * 18 + digit count
 _SIGN_KEYS = (len(_DIGITS) + 1) * _POSITIONS
 _FIXED = ("0.0", "-0.0", "inf", "-inf", "nan")
+_INT_KEYS = 2 * _SIGN_KEYS + len(_FIXED)
+_INT_MAX = 10**len(_DIGITS) - 1
 
 _ABS = _U64(0x7FFF_FFFF_FFFF_FFFF)
 _INF = _U64(0x7FF0_0000_0000_0000)
@@ -68,25 +76,25 @@ class _Tables(NamedTuple):
     hidden: np.ndarray  # (4096,) uint64: the hidden significand bit
     gap_below: np.ndarray  # (4096,) uint64: 4 (v - lower end of its rounding interval) / 2**q
     pow10: np.ndarray  # (18,) uint64: 10**0 .. 10**17
-    # (10003,) 16-byte void: f"{i:04d}", then _CONSTANT_GROUPS, as 4 uint32 characters
+    # (10003,) uint32: f"{i:04d}", then _CONSTANT_GROUPS, as 4 ASCII bytes
     groups: np.ndarray
     position: np.ndarray  # (661,) intp: layout position by decpt - _DECPT_LOW
     layout: np.ndarray  # (keys, _WIDTH) intp: _SOURCE index of each character
+    length: np.ndarray  # (keys,) intp: characters of each layout
     offsets: np.ndarray  # (_BLOCK, _WIDTH) intp: the start of each value's source characters
 
 
 class _Buffers(NamedTuple):
     groups: np.ndarray  # (_GROUPS, _BLOCK) uint64: group numbers of the source characters
-    source: np.ndarray  # (_BLOCK, _GROUPS) 16-byte void: the source characters
+    source: np.ndarray  # (_BLOCK, _GROUPS) uint32: the source characters
     index: np.ndarray  # (_BLOCK, _WIDTH) intp: source index of each text character
-    text: np.ndarray  # (_BLOCK, _WIDTH) uint32: the text, \0 padded
 
 
 _local = threading.local()
 
 
 def _buffers() -> _Buffers:
-    """This thread's output buffers of a block, about 2 MB.
+    """This thread's working buffers of a block, about 1.3 MB.
 
     A block reuses them: fresh arrays of this size would fault in new pages
     on every call, which costs more than filling them.
@@ -99,9 +107,8 @@ def _buffers() -> _Buffers:
         )[:, None]
         buffers = _local.buffers = _Buffers(
             groups=groups,
-            source=np.empty((_BLOCK, _GROUPS), dtype=np.dtype((np.void, 16))),
+            source=np.empty((_BLOCK, _GROUPS), dtype=np.uint32),
             index=np.empty((_BLOCK, _WIDTH), dtype=np.intp),
-            text=np.empty((_BLOCK, _WIDTH), dtype=np.uint32),
         )
     return buffers
 
@@ -157,15 +164,17 @@ def _tables() -> _Tables:
         for n_digits in range(len(_DIGITS) + 1)
         for position in range(_POSITIONS)
     ]
+    texts += _FIXED
+    texts += [
+        "-" * negative + _DIGITS[len(_DIGITS) - n_digits :] if n_digits else ""
+        for negative in (0, 1)
+        for n_digits in range(len(_DIGITS) + 1)
+    ]
     source = np.zeros(128, dtype=np.intp)
     for i, ch in reversed(list(enumerate(_SOURCE))):
         source[ord(ch)] = i
-    layout = "".join(text.ljust(_WIDTH, "\0") for text in texts + list(_FIXED)).encode("ascii")
-    digits = np.arange(10_000, dtype=np.uint32)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint32)
-    groups = np.concatenate([
-        digits % np.uint32(10) + np.uint32(ord("0")),
-        np.array([[ord(ch) for ch in group] for group in _CONSTANT_GROUPS], dtype=np.uint32),
-    ])
+    layout = "".join(text.ljust(_WIDTH, "\0") for text in texts).encode("ascii")
+    groups = "".join(f"{i:04d}" for i in range(10_000)) + "".join(_CONSTANT_GROUPS)
     offsets = np.arange(0, _BLOCK * len(_SOURCE), len(_SOURCE), dtype=np.intp)
     tables = _Tables(
         g=np.array(limbs, dtype=np.uint64),
@@ -175,9 +184,10 @@ def _tables() -> _Tables:
         hidden=np.where(biased > 0, 1 << 52, 0).astype(np.uint64),
         gap_below=np.where(irregular, 1, 2).astype(np.uint64),
         pow10=np.array([10**i for i in range(18)], dtype=np.uint64),
-        groups=groups.view(np.dtype((np.void, 16))).reshape(-1),
+        groups=np.frombuffer(groups.encode("ascii"), dtype=np.uint32).copy(),
         position=position.astype(np.intp),
         layout=source[np.frombuffer(layout, dtype=np.uint8)].reshape(-1, _WIDTH),
+        length=np.array([len(text) for text in texts], dtype=np.intp),
         offsets=np.repeat(offsets, _WIDTH).reshape(_BLOCK, _WIDTH),
     )
     for table in tables:  # shared by every caller
@@ -252,18 +262,50 @@ def _shortest(
     return f, row + (_K_MIN + shorter)
 
 
-def format_floats(a: np.ndarray) -> list[str]:
-    """``[repr(x) for x in a.tolist()]`` of a one-dimensional float64 array."""
+def format_bytes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII text of ``repr`` of each float of a one-dimensional float64 array.
+
+    Returns ``(text, lengths)``: ``text`` is a (len(a), 25) uint8 array
+    whose row i holds the ``lengths[i]`` characters of value i, then NUL
+    bytes to the end of the row, at least one.
+    """
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
     if bits.ndim != 1:
-        raise ValueError(f"format_floats takes a one-dimensional array, got shape {bits.shape}")
-    text: list[str] = []
-    for start in range(0, bits.size, _BLOCK):
-        text += _format_block(bits[start : start + _BLOCK], _tables(), _buffers())
-    return text
+        raise ValueError(f"format_bytes takes a one-dimensional array, got shape {bits.shape}")
+    return _text(bits, _float_block)
 
 
-def _format_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers) -> list[str]:
+def format_floats(a: np.ndarray) -> list[str]:
+    """``[repr(x) for x in a.tolist()]`` of a one-dimensional float64 array."""
+    text, _ = format_bytes(a)
+    return text.view(f"S{_WIDTH}").reshape(-1).astype(f"U{_WIDTH}").tolist()
+
+
+def format_ints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``str`` of each integer of a one-dimensional integer array, laid out as ``format_bytes``.
+
+    Every magnitude must be below 10**17.
+    """
+    values = np.asarray(a)
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        raise ValueError(f"format_ints takes a one-dimensional integer array, got {values.dtype} {values.shape}")
+    if values.size and (values.max() > _INT_MAX or values.min() < -_INT_MAX):
+        raise ValueError(f"format_ints takes integers below 1e{len(_DIGITS)} in magnitude")
+    return _text(values.astype(np.int64), _int_block)
+
+
+def _text(values: np.ndarray, block: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    tables, buffers = _tables(), _buffers()
+    text = np.empty((len(values), _WIDTH), dtype=np.uint8)
+    lengths = np.empty(len(values), dtype=np.intp)
+    for start in range(0, len(values), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        key = block(values[rows], tables, buffers, text[rows])
+        tables.length.take(key, out=lengths[rows])
+    return text, lengths
+
+
+def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> np.ndarray:
     magnitude = bits & _ABS
     # 0, inf and nan; magnitude - 1 takes 0 to the top
     special = np.flatnonzero(magnitude - _U64(1) >= _INF - _U64(1))
@@ -284,6 +326,31 @@ def _format_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers) -> list[
     n_digits = np.searchsorted(tables.pow10, f, side="right")
     decpt = n_digits + e
 
+    key = n_digits * _POSITIONS + tables.position.take(decpt - _DECPT_LOW)
+    key += (bits >> _U64(63)).view(np.int64) * _SIGN_KEYS
+    if special.size:
+        magnitude, negative = bits[special] & _ABS, (bits[special] >> _U64(63)).astype(np.intp)
+        fixed = np.where(magnitude > _INF, 4, np.where(magnitude == _INF, 2, 0) + negative)
+        key[special] = 2 * _SIGN_KEYS + fixed
+    _render(f, np.abs(decpt - 1), key, tables, buffers, text)
+    return key
+
+
+def _int_block(values: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> np.ndarray:
+    f = np.abs(values).view(np.uint64)
+    n_digits = np.maximum(np.searchsorted(tables.pow10, f, side="right"), 1)
+    key = _INT_KEYS + (values < 0) * (len(_DIGITS) + 1) + n_digits
+    _render(f, 0, key, tables, buffers, text)
+    return key
+
+
+def _render(
+    f: np.ndarray, exponent: np.ndarray | int, key: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray
+) -> None:
+    """Write layout ``key`` of digits ``f`` < 10**17 and exponent digits ``exponent`` < 1000 to ``text``.
+
+    ``f`` is overwritten.
+    """
     # the 17 digits, right aligned, and the 3 digits of |exponent|, in groups of 4
     n = len(f)
     groups = buffers.groups[:, :n]
@@ -294,18 +361,9 @@ def _format_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers) -> list[
     for row, half in ((1, high), (3, f)):
         np.floor_divide(half, _U64(10_000), out=groups[row])
         np.subtract(half, groups[row] * _U64(10_000), out=groups[row + 1])
-    groups[5] = np.abs(decpt - 1)
+    groups[5] = exponent
     # every index below is in range by construction, so take may clip
     source = tables.groups.take(groups.T, out=buffers.source[:n], mode="clip")
-    source = source.view(np.uint32).reshape(-1)
-
-    key = n_digits * _POSITIONS + tables.position.take(decpt - _DECPT_LOW)
-    key += (bits >> _U64(63)).view(np.int64) * _SIGN_KEYS
-    if special.size:
-        magnitude, negative = bits[special] & _ABS, (bits[special] >> _U64(63)).astype(np.intp)
-        fixed = np.where(magnitude > _INF, 4, np.where(magnitude == _INF, 2, 0) + negative)
-        key[special] = 2 * _SIGN_KEYS + fixed
     index = tables.layout.take(key, axis=0, out=buffers.index[:n], mode="clip")
     index += tables.offsets[:n]
-    text = source.take(index, out=buffers.text[:n], mode="clip")
-    return text.view(f"U{_WIDTH}").reshape(-1).tolist()
+    source.view(np.uint8).reshape(-1).take(index, out=text, mode="clip")

@@ -207,9 +207,11 @@ def _distance_sweep(
     the distances, in the given order: float64 arrays ``distance_m``,
     ``n_a`` and ``n_b``, the str array ``model``, float64 arrays
     ``m_star``, ``rate_bps`` and ``peak_power_w``, then the str array
-    ``flag``, "boundary" where the optimum sits on the search bound and
-    "ok" elsewhere.  A distance that is not finite and > 0, or whose n_a
-    has no optimum, raises ValueError naming it as a float.
+    ``flag``, "boundary" where the optimum sits on the search bound,
+    "failed" where n_a has no optimum (n_a <= 0, or n_a * m_max not
+    finite; m_star, rate and peak power are NaN there) and "ok" elsewhere.
+    A distance that is not finite and > 0 raises ValueError naming it as a
+    float.
     """
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
@@ -219,17 +221,13 @@ def _distance_sweep(
     if bad.any():
         raise ValueError(f"distance_m must be finite and > 0, got {r_m[bad.argmax()].item()!r}")
     # eta_ch and n_a overflow to inf at a tiny distance; the search then
-    # fails that point, which is reported below
+    # fails that point
     with np.errstate(over="ignore"):
         eta_ch = _transmission(lp_template, r_m, constants)
         n_a = _photon_number(lp_template, eta_ch, constants)
     # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
     n_b = np.full_like(n_a, n_b + 0.0)
     m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
-    failed = flag == FLAG_FAILED
-    if failed.any():
-        i = failed.argmax()
-        raise ValueError(f"no optimum at distance_m = {r_m[i].item()!r}: n_a = {n_a[i].item()!r}")
     return {
         "distance_m": r_m,
         "n_a": n_a,
@@ -254,9 +252,16 @@ def rate_vs_distance(
     Every row also carries the Shannon and Holevo reference rates at the
     same (n_a, n_b) for comparison.  All distances are optimized in one
     batched search; rows keep the given order, and a boundary-pinned
-    optimum flags its row instead of aborting.
+    optimum flags its row instead of aborting.  A distance whose n_a has no
+    optimum raises ValueError naming it in metres.
     """
     columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, scheme, r_grid_m, constants)
+    failed = columns["flag"] == FLAG_FAILED
+    if failed.any():
+        i = failed.argmax()
+        raise ValueError(
+            f"no optimum at distance_m = {columns['distance_m'][i].item()!r}: n_a = {columns['n_a'][i].item()!r}"
+        )
     fields = ("distance_m", "n_a", "m_star", "rate_bps", "peak_power_w", "flag", "n_b")
     return [
         DistanceRow(*row, bandwidth_hz=lp_template.bandwidth_hz)

@@ -4,8 +4,10 @@ Each test drives ``photonlink.cli.main`` directly with an argv list and
 inspects exit codes, files written to ``tmp_path``, or captured output.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -165,6 +167,70 @@ class TestWriteTable:
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 8193])
+    def test_byte_path_writes_an_empty_table_and_a_one_row_tail_block(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_VECTOR_MIN", 0)
+        table = self.block_table(rows, seed=rows)
+        rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
+        want = [",".join(map(str, row)) for row in rows_text]
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == want
+
+    def test_byte_path_keeps_nul_and_non_ascii_in_str_cells(self, tmp_path, monkeypatch):
+        # a number's text never holds NUL, a str cell may
+        monkeypatch.setattr(cli, "_VECTOR_MIN", 0)
+        table = {"x": np.array([0.0, -1.5, 2e-300]), "s": ["a\0b", "\0", "\u00e9\u20ac"], "n": [None, 7, 0.1]}
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_bytes().split(b"\n")[2:] == [
+            b"0.0,a\0b,None", b"-1.5,\0,7", "2e-300,\u00e9\u20ac,0.1".encode(), b"",
+        ]
+
+    @pytest.mark.parametrize("vector_min", [0, 10**9])
+    def test_range_columns_across_digit_boundaries(self, tmp_path, monkeypatch, vector_min):
+        # bin 0, 9, 10, 99, 100, 9999, 10000 and 65535 change digit count or
+        # end the range; the stepped range reaches 17 digits and negatives
+        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
+        table = {
+            "bin": range(65536),
+            "wide": range(-10**16, 10**16, 305_175_781_250),
+            "x": np.zeros(65536),
+        }
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        lines = out.read_text(encoding="utf-8").splitlines()[2:]
+        assert lines == [f"{b},{w},0.0" for b, w in zip(table["bin"], table["wide"])]
+        for b in (0, 9, 10, 99, 100, 9999, 10000, 65535):
+            assert lines[b].startswith(f"{b},")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1"], ["receiver", "--k", "10", "--phase-sigma", "0.1", "--n-b", "1e-3", "--model", "both"]],
+    )
+    def test_text_only_stdout_gets_the_bytes_of_out(self, tmp_path, argv):
+        # table1 is joined as str, the k = 10 receiver table built as bytes
+        out = tmp_path / "t.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(argv) == 0
+        assert sink.getvalue().encode("utf-8") == out.read_bytes()
+
+    def test_binary_stdout_gets_earlier_text_then_the_header_then_the_rows(self, tmp_path, monkeypatch):
+        table = self.block_table(8193, seed=3)
+        reference = tmp_path / "t.csv"
+        cli._write_table(str(reference), "demo", {"n_b": 0.01}, table)
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        # held in the text layer until the writer flushes it
+        stdout.write("earlier text\n")
+        cli._write_table(None, "demo", {"n_b": 0.01}, table)
+        stdout.flush()
+        assert raw.getvalue() == b"earlier text\n" + reference.read_bytes()
 
 
 # sha256 of the data section (the lines after the '#' header, which echoes
@@ -704,13 +770,15 @@ class TestLink:
             cli.main(["link", "--schemes", "qam"])
         assert excinfo.value.code == 2
 
+    # the grid is typed in AU, so a distance whose n_a has no optimum is
+    # named in AU, with the reason
     @pytest.mark.filterwarnings("error")
     def test_overflowing_distance_is_named_as_a_float(self, tmp_path, capsys):
         out = tmp_path / "link.csv"
         assert cli.main(["link", "--r-au-grid", "1e-160", "1", "3", "--out", str(out)]) == 2
-        distance = 1e-160 * DEFAULT_CONSTANTS.au_m
         assert capsys.readouterr().err == (
-            f"photonlink link: error: no optimum at distance_m = {distance!r}: n_a = inf\n"
+            "photonlink link: error: distance 1e-160 AU is too near: "
+            "pulse energy n_a * m_max overflows at n_a = inf\n"
         )
         assert not out.exists()
 
@@ -719,10 +787,27 @@ class TestLink:
         out = tmp_path / "link.csv"
         argv = ["link", "--model", "both", "--r-au-grid", "1e-160", "1", "3", "--out", str(out)]
         assert cli.main(argv) == 2
-        distance = 1e-160 * DEFAULT_CONSTANTS.au_m
         assert capsys.readouterr().err == (
-            f"photonlink link: error: no optimum at distance_m = {distance!r}: n_a = inf\n"
+            "photonlink link: error: distance 1e-160 AU is too near: "
+            "pulse energy n_a * m_max overflows at n_a = inf\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["1e-300", "1e-290", "3"], "1e-300 AU is too near: pulse energy n_a * m_max overflows at n_a = inf"),
+            # n_a is finite here, n_a * 1e9 is not
+            (["1e-151", "1e-151", "1"],
+             "1e-151 AU is too near: pulse energy n_a * m_max overflows at n_a = 3.139916241795556e+300"),
+            (["1e200", "1e201", "2"], "1e+200 AU is too far: n_a underflows to 0"),
+        ],
+    )
+    def test_distance_without_optimum_is_named_in_au(self, grid, message, tmp_path, capsys):
+        out = tmp_path / "link.csv"
+        assert cli.main(["link", "--model", "both", "--r-au-grid", *grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"photonlink link: error: distance {message}\n"
         assert not out.exists()
 
     def test_rejects_repeated_scheme(self, tmp_path, capsys):

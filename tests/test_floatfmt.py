@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink import floatfmt
-from photonlink.floatfmt import format_floats
+from photonlink.floatfmt import format_bytes, format_floats, format_ints
+
+
+def assert_text(text, lengths, want):
+    """``format_bytes``' layout: row i is want[i] in ASCII, then at least one NUL."""
+    assert text.dtype == np.uint8 and text.shape == (len(want), floatfmt._WIDTH)
+    assert lengths.tolist() == [len(w) for w in want]
+    assert text.view(f"S{floatfmt._WIDTH}").reshape(-1).tolist() == [w.encode("ascii") for w in want]
+    assert not text[np.arange(floatfmt._WIDTH) >= lengths[:, None]].any()
 
 
 def assert_repr(a):
@@ -28,6 +36,7 @@ def assert_repr(a):
     assert len(got) == len(want)
     wrong = [(x, g, w) for x, g, w in zip(a.tolist(), got, want) if g != w]
     assert not wrong, f"{len(wrong)} of {len(want)} differ, first: {wrong[:5]}"
+    assert_text(*format_bytes(a), want)
 
 
 def with_negatives(a):
@@ -114,7 +123,8 @@ def test_two_dimensional_input_is_refused():
 
 def test_threads_get_their_own_buffers():
     # numpy lets go of the interpreter lock inside a block's gathers, so
-    # threads that shared the block buffers would mix up their texts
+    # threads that shared the block buffers would mix up their texts; the
+    # str and the byte output alternate between tasks
     rng = np.random.default_rng(11)
     arrays = [rng.standard_normal(floatfmt._BLOCK + 100) * 10.0 ** rng.integers(-30, 30) for _ in range(6)]
     want = [[repr(x) for x in a.tolist()] for a in arrays]
@@ -122,11 +132,43 @@ def test_threads_get_their_own_buffers():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(format_floats, arrays[i % 6]) for i in range(24)]
+            futures = [
+                pool.submit(format_bytes if i % 2 else format_floats, arrays[i % 6]) for i in range(24)
+            ]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(result == want[i % 6] for i, result in enumerate(results))
+    for i, result in enumerate(results):
+        if i % 2:
+            assert_text(*result, want[i % 6])
+        else:
+            assert result == want[i % 6]
+
+
+def test_ints_at_digit_boundaries():
+    powers = [10**n for n in range(17)]
+    values = sorted({0, 65535, floatfmt._INT_MAX} | {p + d for p in powers for d in (-1, 0, 1)})
+    values = np.array(values + [-v for v in values if v])
+    for dtype in (np.int64, np.int32, np.uint16):
+        fits = values[(values >= np.iinfo(dtype).min) & (values <= np.iinfo(dtype).max)]
+        assert_text(*format_ints(fits.astype(dtype)), [str(v) for v in fits.tolist()])
+    assert_text(*format_ints(np.arange(3 * floatfmt._BLOCK + 1)), [str(v) for v in range(3 * floatfmt._BLOCK + 1)])
+    assert_text(*format_ints(np.array([], dtype=np.int64)), [])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([floatfmt._INT_MAX + 1]),
+        np.array([-floatfmt._INT_MAX - 1]),
+        np.array([2**64 - 1], dtype=np.uint64),
+        np.array([1.0]),
+        np.zeros((2, 2), dtype=np.int64),
+    ],
+)
+def test_ints_out_of_range_or_not_integers_are_refused(values):
+    with pytest.raises(ValueError):
+        format_ints(values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
