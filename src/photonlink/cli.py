@@ -72,42 +72,62 @@ SEPARATION_NOTE = (
 )
 
 
-def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes:
+def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.ndarray:
     """UTF-8 CSV lines of ``rows``, a cell per column as ``str`` of its value.
 
-    The float64 array columns are formatted together, once per distinct bit
-    pattern of each column: the bits keep -0.0 apart from 0.0, which compare
-    and hash equal as floats.  From ``_VECTOR_MIN`` distinct floats on, the
-    block is built as bytes: the floats by ``format_bytes``, a ``range``
-    column by ``format_ints``, each other cell by ``str``.  Every text is a
-    NUL-padded row of one pool with its comma or newline after it; one
-    gather lays each table row's cells side by side, and one boolean
-    compress keeps the text and separators.  Below that, ``repr`` of the
-    distinct floats and ``str`` of the other cells are joined as ``str``,
-    which costs less there.
+    The float64 array columns are formatted together.  Each column's distinct
+    bit patterns come from one ``np.sort`` and a compare of neighbours: the
+    bits keep -0.0 apart from 0.0, which compare and hash equal as floats.
+    A column that repeats, with at most half its cells distinct, is
+    formatted once per distinct value and its cells found by
+    ``np.searchsorted``; any other column is formatted cell by cell.  From
+    ``_VECTOR_MIN`` distinct floats on, the block is built as bytes: the
+    floats by ``format_bytes``, a ``range`` column by ``format_ints``, each
+    other cell by ``str``.  Every text is a NUL-padded row of one pool with
+    its comma or newline after it; one gather lays each table row's cells
+    side by side, and one boolean compress keeps the text and separators,
+    which are returned as that uint8 array, not copied into ``bytes``.
+    Below that, ``repr`` of the floats and ``str`` of the other cells are
+    joined as ``str``, which costs less there.
     """
     parts = [column[rows] for column in columns]
+    n_rows = len(parts[0])
     floats = [i for i, part in enumerate(parts) if isinstance(part, np.ndarray) and part.dtype == np.float64]
-    found = [np.unique(parts[i].view(np.int64), return_inverse=True) for i in floats]
-    distinct = np.concatenate([np.empty(0, dtype=np.int64), *(bits for bits, _ in found)]).view(np.float64)
-    if len(distinct) < _VECTOR_MIN:
+    # per float64 column: the bits to format, and each cell's row among
+    # them, or None when they are the cells themselves
+    found: list[tuple[np.ndarray, np.ndarray | None]] = []
+    n_distinct = 0
+    for i in floats:
+        bits = parts[i].view(np.int64)
+        ordered = np.sort(bits)
+        first = np.empty(n_rows, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        n_distinct += len(distinct)
+        if 2 * len(distinct) <= n_rows:
+            found.append((distinct, np.searchsorted(distinct, bits)))
+        else:
+            found.append((bits, None))
+    values = np.concatenate([np.empty(0, dtype=np.int64), *(bits for bits, _ in found)]).view(np.float64)
+    if n_distinct < _VECTOR_MIN:
         cells: list[Iterable[str]] = [map(str, part) for part in parts]
-        text = np.array([repr(x) for x in distinct.tolist()], dtype=object)
+        text = np.array([repr(x) for x in values.tolist()], dtype=object)
         start = 0
-        for i, (bits, inverse) in zip(floats, found):
-            cells[i] = text[start : start + len(bits)][inverse].tolist()
+        for i, (bits, index) in zip(floats, found):
+            own = text[start : start + len(bits)]
+            cells[i] = (own if index is None else own[index]).tolist()
             start += len(bits)
         return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
-    # the pool's rows: the distinct floats of each float64 column, then a
+    # the pool's rows: the floats to format of each float64 column, then a
     # row per cell of each other column
-    n_rows = len(parts[0])
-    text, length = format_bytes(distinct)
+    text, length = format_bytes(values)
     texts, lengths = [text], [length]
     cell = np.empty((n_rows, len(parts)), dtype=np.intp)
     size = 0
-    for i, (bits, inverse) in zip(floats, found):
-        cell[:, i] = inverse + size
+    for i, (bits, index) in zip(floats, found):
+        cell[:, i] = np.arange(size, size + n_rows) if index is None else index + size
         size += len(bits)
     # str cells may hold NUL themselves
     str_lengths = {}
@@ -139,7 +159,7 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes:
     keep = grid != 0
     for i, length in str_lengths.items():
         np.less_equal(np.arange(width), length[:, None], out=keep[:, i])
-    return grid[keep].tobytes()
+    return grid[keep]
 
 
 def _write_table(
@@ -152,9 +172,10 @@ def _write_table(
 
     A cell is written as ``str`` of its value; a float64 array column, as
     ``repr`` of each float, which is the same text.  The rows are built
-    ``_BLOCK_ROWS`` at a time as bytes by ``_block_bytes``, and each block
-    is written to ``out_path`` or to standard output's binary buffer; a
-    text-only standard output (``io.StringIO``) gets each block decoded.
+    ``_BLOCK_ROWS`` at a time by ``_block_bytes`` as ``bytes`` or a uint8
+    array, and each block is written to ``out_path`` or to standard
+    output's binary buffer as it is; a text-only standard output
+    (``io.StringIO``) gets each block decoded.
     """
     columns = list(table.values())
     n_rows = len(columns[0]) if columns else 0
@@ -172,8 +193,8 @@ def _write_table(
             sys.stdout.flush()
             write = sys.stdout.buffer.write
         else:
-            def write(chunk: bytes) -> None:
-                sys.stdout.write(chunk.decode())
+            def write(chunk: bytes | np.ndarray) -> None:
+                sys.stdout.write(str(chunk, "utf-8"))
         write(("\n".join(lines) + "\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
             write(_block_bytes(columns, slice(start, start + _BLOCK_ROWS)))
@@ -318,18 +339,20 @@ def cmd_receiver(args: argparse.Namespace) -> int:
         phase_error_sigma=args.phase_sigma,
         rng_seed=args.seed,
     )
-    pattern = make_pattern(args.k, args.target_bin, args.energy)
-    out_field = apply_receiver(pattern, cfg)
     # --trials changes no output; it stays checked and echoed for the scripts that pass it
     if args.trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {args.trials!r}")
+    # every argument is checked before the 2**k-bin cascade runs
+    kinds = _model_kinds(args.model)
+    models = [NoiseModel(kind, args.n_b) for kind in kinds]
+    pattern = make_pattern(args.k, args.target_bin, args.energy)
+    out_field = apply_receiver(pattern, cfg)
     mean, std = concentration_efficiency(cfg)
 
-    kinds = _model_kinds(args.model)
     # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
     columns = (
         [*pattern.amps.view(float).T, *out_field.amps.view(float).T, out_field.bin_energies()]
-        + [detect_pattern(out_field, NoiseModel(kind, args.n_b)) for kind in kinds]
+        + [detect_pattern(out_field, model) for model in models]
     )
     names = (
         ["in_re_h", "in_im_h", "in_re_v", "in_im_v"]

@@ -85,7 +85,7 @@ class _Tables(NamedTuple):
 
 
 class _Buffers(NamedTuple):
-    groups: np.ndarray  # (_GROUPS, _BLOCK) uint64: group numbers of the source characters
+    groups: np.ndarray  # (_BLOCK, _GROUPS) intp: group numbers of the source characters
     source: np.ndarray  # (_BLOCK, _GROUPS) uint32: the source characters
     index: np.ndarray  # (_BLOCK, _WIDTH) intp: source index of each text character
 
@@ -101,10 +101,8 @@ def _buffers() -> _Buffers:
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None:
-        groups = np.empty((_GROUPS, _BLOCK), dtype=np.uint64)
-        groups[_GROUPS - len(_CONSTANT_GROUPS) :] = np.arange(
-            10_000, 10_000 + len(_CONSTANT_GROUPS), dtype=np.uint64
-        )[:, None]
+        groups = np.empty((_BLOCK, _GROUPS), dtype=np.intp)
+        groups[:, _GROUPS - len(_CONSTANT_GROUPS) :] = np.arange(10_000, 10_000 + len(_CONSTANT_GROUPS))
         buffers = _local.buffers = _Buffers(
             groups=groups,
             source=np.empty((_BLOCK, _GROUPS), dtype=np.uint32),
@@ -349,21 +347,24 @@ def _render(
 ) -> None:
     """Write layout ``key`` of digits ``f`` < 10**17 and exponent digits ``exponent`` < 1000 to ``text``.
 
-    ``f`` is overwritten.
+    The group numbers are written, through a uint64 view, into the columns
+    of the contiguous (n, 9) intp buffer that the group gather takes as its
+    index as it is.  ``f`` is overwritten.
     """
     # the 17 digits, right aligned, and the 3 digits of |exponent|, in groups of 4
     n = len(f)
-    groups = buffers.groups[:, :n]
-    np.floor_divide(f, tables.pow10[16], out=groups[0])
-    f -= groups[0] * tables.pow10[16]
+    groups = buffers.groups[:n]
+    digits = groups.view(np.uint64)
+    np.floor_divide(f, tables.pow10[16], out=digits[:, 0])
+    f -= digits[:, 0] * tables.pow10[16]
     high = f // tables.pow10[8]
     f -= high * tables.pow10[8]
-    for row, half in ((1, high), (3, f)):
-        np.floor_divide(half, _U64(10_000), out=groups[row])
-        np.subtract(half, groups[row] * _U64(10_000), out=groups[row + 1])
-    groups[5] = exponent
+    for column, half in ((1, high), (3, f)):
+        np.floor_divide(half, _U64(10_000), out=digits[:, column])
+        np.subtract(half, digits[:, column] * _U64(10_000), out=digits[:, column + 1])
+    digits[:, 5] = exponent
     # every index below is in range by construction, so take may clip
-    source = tables.groups.take(groups.T, out=buffers.source[:n], mode="clip")
+    source = tables.groups.take(groups, out=buffers.source[:n], mode="clip")
     index = tables.layout.take(key, axis=0, out=buffers.index[:n], mode="clip")
     index += tables.offsets[:n]
     source.view(np.uint8).reshape(-1).take(index, out=text, mode="clip")

@@ -119,15 +119,33 @@ def apply_module(
         raise ValueError(f"loss must be in (0, 1], got {loss!r}")
     if not math.isfinite(phase_error):
         raise ValueError(f"phase_error must be finite, got {phase_error!r}")
-    return FieldPattern(_module(pattern.amps, int(delay_bins), phase_error, loss))
+    # a copy: for one bin the transpose is already contiguous, and read-only
+    field = pattern.amps.T.copy()
+    _module(field, np.empty(n, dtype=np.complex128), int(delay_bins), phase_error, loss)
+    return FieldPattern(field.T)
 
 
-def _module(amps: np.ndarray, delay: int, phase: float, loss: float) -> np.ndarray:
-    """``apply_module`` on a complex (n_bins, 2) array, arguments unchecked."""
-    h = amps[:, H]
-    v = np.roll(amps[:, V], delay) * np.exp(1j * phase)
+def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss: float) -> None:
+    """``apply_module`` in place on a complex (2, n_bins) array, arguments unchecked.
+
+    ``field[H]`` and ``field[V]`` are the two polarizations, each contiguous,
+    and ``spare`` is a complex (n_bins,) work array.  The delayed, phase-
+    shifted V arm goes into ``spare`` by two slice products, then the
+    half-wave plate and the loss overwrite H and V; no array is allocated.
+    Each product and sum is the one that a step written with ``np.roll``
+    and ``np.column_stack`` makes, in the same order, so the bits, signed
+    zeros too, are the same: keep the product by ``exp(1j * phase)`` even
+    at phase 0, where it turns some -0.0 parts into +0.0.
+    """
+    h, v = field
+    rotation = np.exp(1j * phase)
+    np.multiply(v[-delay:], rotation, out=spare[:delay])
+    np.multiply(v[:-delay], rotation, out=spare[delay:])
+    np.subtract(h, spare, out=v)
+    h += spare
     scale = _SQRT_HALF * math.sqrt(loss)
-    return np.column_stack(((h + v) * scale, (h - v) * scale))
+    h *= scale
+    v *= scale
 
 
 def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
@@ -146,10 +164,11 @@ def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
         raise ValueError(
             f"phase_error_sigma = {cfg.phase_error_sigma!r} is too large: a phase draw overflowed"
         )
-    amps = pattern.amps
+    field = pattern.amps.T.copy()
+    spare = np.empty(pattern.n_bins, dtype=np.complex128)
     for i in range(1, cfg.k + 1):
-        amps = _module(amps, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
-    return FieldPattern(amps)
+        _module(field, spare, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
+    return FieldPattern(field.T)
 
 
 def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPattern:
@@ -157,7 +176,9 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPat
     into (``target_bin``, H).
 
     Built by pushing a single H-polarized pulse backwards through the exact
-    inverse cascade.  The result has one occupied polarization per bin with
+    inverse cascade, in place on two real arrays and one spare: each stage
+    is the half-wave plate, then the V arm's cyclic advance as two slice
+    copies.  The result has one occupied polarization per bin with
     amplitude +-sqrt(total_energy / 2**k).
     """
     if int(k) != k or k < 1:
@@ -171,17 +192,21 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPat
     # run the inverse cascade on integer signs; every intermediate state
     # keeps exactly one occupied polarization per bin, so the common factor
     # (1/sqrt(2))**k can be applied once at the end
-    h = np.zeros(n)
-    v = np.zeros(n)
+    h, v = np.zeros((2, n))
+    spare = np.empty(n)
     h[int(target_bin)] = 1.0
     for stage in range(int(k), 0, -1):
-        h, v = h + v, h - v  # half-wave plate is its own inverse
-        v = np.roll(v, -(n >> stage))
-    amps = np.empty((n, 2), dtype=np.complex128)
+        # the half-wave plate is its own inverse
+        np.subtract(h, v, out=spare)
+        h += v
+        advance = n >> stage
+        v[:-advance] = spare[advance:]
+        v[-advance:] = spare[:advance]
+    field = np.zeros((2, n), dtype=np.complex128)
     amp_scale = math.sqrt(total_energy / n)
-    amps[:, H] = h * amp_scale
-    amps[:, V] = v * amp_scale
-    return FieldPattern(amps)
+    np.multiply(h, amp_scale, out=field[H].real)
+    np.multiply(v, amp_scale, out=field[V].real)
+    return FieldPattern(field.T)
 
 
 def detect_pattern(pattern: FieldPattern, model: NoiseModel) -> np.ndarray:

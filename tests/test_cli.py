@@ -205,6 +205,75 @@ class TestWriteTable:
         for b in (0, 9, 10, 99, 100, 9999, 10000, 65535):
             assert lines[b].startswith(f"{b},")
 
+    @staticmethod
+    def row_wise(table):
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
+        return [",".join(map(str, row)) for row in rows]
+
+    @staticmethod
+    def repeating(rng, rows, n_distinct, pool):
+        # a column of exactly n_distinct values of pool, in random order
+        cells = np.concatenate([pool[:n_distinct], rng.choice(pool[:n_distinct], rows - n_distinct)])
+        return rng.permutation(cells)
+
+    @pytest.mark.parametrize("vector_min", [0, 10**9])
+    @pytest.mark.parametrize("rows", [1, 2, 400, 8192, 8193])
+    def test_dedupe_gives_the_text_of_str_per_row(self, tmp_path, monkeypatch, rows, vector_min):
+        # distinct shares below, at and just above one half, and 1: a column
+        # is formatted per distinct value only up to one half; the pools mix
+        # 0.0 with -0.0, nan bit patterns and subnormals
+        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
+        rng = np.random.default_rng(rows)
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(np.float64)
+        subnormals = np.array([5e-324, -5e-324, 2.5e-310, -1e-320, 2.2250738585072009e-308])
+        special = np.concatenate([[0.0, -0.0], nans, subnormals, [math.inf, -math.inf, 1e16, 1e-5]])
+        pool = np.concatenate([special, rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)])
+        half = rows // 2
+        table = {
+            "bin": range(rows),
+            "quarter": self.repeating(rng, rows, max(rows // 4, 1), pool),
+            "half": self.repeating(rng, rows, max(half, 1), pool),
+            "above_half": self.repeating(rng, rows, half + 1, pool),
+            "all_distinct": rng.permutation(pool[:rows]),
+            "all_equal": np.full(rows, -0.0),
+            "zeros": rng.choice([0.0, -0.0], rows),
+            "nans": rng.choice(nans, rows),
+            "subnormals": rng.choice(subnormals, rows),
+            "flag": rng.choice(["ok", "boundary"], rows).tolist(),
+        }
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
+
+    def test_empty_table_writes_the_header_alone(self, tmp_path):
+        table = {"bin": range(0), "x": np.empty(0), "flag": []}
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_text(encoding="utf-8") == f"# photonlink {__version__} demo\nbin,x,flag\n"
+
+    @pytest.mark.parametrize("n_distinct, byte_path", [(cli._VECTOR_MIN - 1, False), (cli._VECTOR_MIN, True)])
+    def test_cut_over_counts_distinct_floats_not_formatted_ones(self, tmp_path, monkeypatch, n_distinct, byte_path):
+        # 1500 rows with 999 or 1000 distinct floats: more than half, so the
+        # column is formatted cell by cell, 1500 values, yet the path is
+        # chosen by its distinct count
+        calls = []
+        format_bytes = cli.format_bytes
+
+        def counting_format_bytes(a):
+            calls.append(len(a))
+            return format_bytes(a)
+
+        monkeypatch.setattr(cli, "format_bytes", counting_format_bytes)
+        rng = np.random.default_rng(n_distinct)
+        rows = 1500
+        pool = np.concatenate([[0.0, -0.0, 5e-324], rng.standard_normal(n_distinct - 3)])
+        table = {"x": self.repeating(rng, rows, n_distinct, pool)}
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
+        assert calls == ([rows] if byte_path else [])
+
     @pytest.mark.parametrize(
         "argv",
         [["table1"], ["receiver", "--k", "10", "--phase-sigma", "0.1", "--n-b", "1e-3", "--model", "both"]],
@@ -258,6 +327,14 @@ PINNED_RUNS = {
         "link", "--model", "gauss", "--schemes", "ook", "--n-b", "0", "--r-au-grid", "0.01", "1e4", "40",
     ],
     "pie-sweep-gauss": ["pie-sweep", "--model", "gauss", "--n-b", "0", "1e-3", "50"],
+    # zero phase error over two blocks, joined as str; and one noise model's
+    # table built as bytes.  Pinned from the np.unique writer and the
+    # np.roll cascade
+    "receiver-k14-sigma0": [
+        "receiver", "--k", "14", "--target-bin", "5", "--loss", "0.97", "--model", "both", "--n-b", "30",
+        "--seed", "7",
+    ],
+    "receiver-k13-gauss": ["receiver", "--k", "13", "--phase-sigma", "0.05", "--model", "gauss", "--seed", "7"],
 }
 PINNED_SHA256 = {
     "table1.csv": "78283115a0bd124072202d44bec660f3950ce446ade5c920d812c5a0ce558872",
@@ -279,6 +356,8 @@ PINNED_SHA256 = {
     "link-gauss-ook-nb0.csv": "a5218dc6f93ce02427b993305917ddabac1326864599a56527835591f7dc91ac",
     "pie-sweep-gauss_ook.csv": "6903167fe0b8e9da94c672fbf5382f8f9368b9b249f7300f0c93b9d4d54891f2",
     "pie-sweep-gauss_ppm.csv": "a6dc9f1d41a704ccda03264d88426ff9fa96be25afb28f098f0ab2658154b50d",
+    "receiver-k14-sigma0.csv": "79cb1c3291ef25c61b4dcf16e59346d00fdf5f547e5fcb206a2ed5e76239d6ae",
+    "receiver-k13-gauss.csv": "fd306ead32b7c117cb856062a0c45dbe4e53be7d38f98fe0f1f040231ce18599",
 }
 
 
@@ -887,6 +966,27 @@ class TestReceiverCommand:
     def test_bad_trials_or_seed_is_a_usage_error(self, flag, value, message, tmp_path, capsys):
         out = tmp_path / "rx.csv"
         assert cli.main(["receiver", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"photonlink receiver: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-b", "-1", "n_b must be finite and >= 0, got -1.0"),
+            ("--n-b", "nan", "n_b must be finite and >= 0, got nan"),
+            ("--trials", "0", "trials must be an integer >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("model", ["poisson", "both"])
+    def test_bad_arguments_stop_before_the_cascade(self, flag, value, message, model, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cascade ran on bad arguments")
+
+        monkeypatch.setattr(cli, "make_pattern", refuse)
+        monkeypatch.setattr(cli, "apply_receiver", refuse)
+        out = tmp_path / "rx.csv"
+        argv = ["receiver", "--k", "16", "--model", model, flag, value, "--out", str(out)]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"photonlink receiver: error: {message}\n"
         assert not out.exists()
 

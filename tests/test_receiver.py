@@ -263,6 +263,93 @@ class TestApplyReceiver:
         assert np.max(np.abs(left - right)) <= 1e-12
 
 
+def roll_module(amps, delay, phase, loss):
+    # the module step written with np.roll and np.column_stack, each a copy
+    # of the whole field
+    h = amps[:, H]
+    v = np.roll(amps[:, V], delay) * np.exp(1j * phase)
+    scale = SQRT_HALF * math.sqrt(loss)
+    return np.column_stack(((h + v) * scale, (h - v) * scale))
+
+
+def roll_receiver(amps, cfg):
+    phases = np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, cfg.k)
+    for i in range(1, cfg.k + 1):
+        amps = roll_module(amps, len(amps) >> i, phases[i - 1], cfg.per_module_loss)
+    return amps
+
+
+def roll_pattern(k, target_bin, total_energy=1.0):
+    # the inverse cascade written with np.roll
+    n = 1 << k
+    h = np.zeros(n)
+    v = np.zeros(n)
+    h[target_bin] = 1.0
+    for stage in range(k, 0, -1):
+        h, v = h + v, h - v
+        v = np.roll(v, -(n >> stage))
+    amps = np.empty((n, 2), dtype=np.complex128)
+    amp_scale = math.sqrt(total_energy / n)
+    amps[:, H] = h * amp_scale
+    amps[:, V] = v * amp_scale
+    return amps
+
+
+def signed_zero_pattern(k, seed):
+    # random amplitudes with a share of +0.0 and -0.0 parts, where a
+    # reordered sum or product would flip the sign of a zero
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(1 << k, 4))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.15] = -0.0
+    return FieldPattern(parts.view(np.complex128))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRollOracle:
+    # the in-place cascade against the np.roll / np.column_stack one, bit
+    # for bit, signed zeros included
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_make_pattern(self, k):
+        n = 1 << k
+        for target in sorted({0, 1, 5 % n, n // 3, n - 1}):
+            for energy in (1.0, 7.5, 1e-300):
+                assert same_bits(make_pattern(k, target, energy).amps, roll_pattern(k, target, energy))
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_apply_receiver(self, k):
+        n = 1 << k
+        for sigma in (0.0, 0.05, 1e3):
+            for loss in (1.0, 0.9):
+                for seed in (0, 7, 90210):
+                    cfg = ReceiverConfig(k, loss, sigma, seed)
+                    for target in sorted({0, 5 % n, n - 1}):
+                        pattern = make_pattern(k, target, 2.0)
+                        assert same_bits(apply_receiver(pattern, cfg).amps, roll_receiver(pattern.amps, cfg))
+                    pattern = signed_zero_pattern(k, seed)
+                    assert same_bits(apply_receiver(pattern, cfg).amps, roll_receiver(pattern.amps, cfg))
+
+    @pytest.mark.parametrize("k", range(0, 11))
+    def test_apply_module(self, k):
+        # every delay that divides n_bins, n_bins itself too, and one bin
+        for seed in (0, 7, 90210):
+            pattern = signed_zero_pattern(k, seed)
+            for delay in (1 << j for j in range(k + 1)):
+                for phase in (0.0, -0.0, 0.05, 1e3):
+                    for loss in (1.0, 0.9):
+                        out = apply_module(pattern, delay, phase, loss)
+                        assert same_bits(out.amps, roll_module(pattern.amps, delay, phase, loss))
+
+    def test_apply_module_leaves_its_input(self):
+        pattern = signed_zero_pattern(4, seed=1)
+        before = pattern.amps.copy()
+        apply_module(pattern, 4, 0.3, 0.9)
+        assert same_bits(pattern.amps, before)
+
+
 class TestDetectPattern:
     def test_concentrated_output_clicks_only_at_target(self):
         out = apply_receiver(make_pattern(3, 5, 1.0), ReceiverConfig(k=3))
