@@ -68,12 +68,21 @@ def holevo_capacity(pn: PhotonNumbers) -> float:
     n_a << n_b: in nats the difference is
     n_a log1p(1/(n_a + n_b)) + n_b h(n_a/n_b) - (n_b + 1) h(n_a/(n_b + 1))
     with h(t) = t - log1p(t), whose terms are then a small correction.
+
+    That form cancels in turn at n_a >> n_b + 1, where each x h(n_a/x) is
+    about n_a.  From n_a >= 1e3 and n_a >= 10 (n_b + 1) on, each
+    log1p(n_a/x) is written log n_a - log x + log1p(x/n_a) instead, and
+    the x log x terms make g(n_b) in its own cancellation-free form.
     """
     n_a, n_b = pn.n_a, pn.n_b
     if n_a == 0.0:
         return 0.0
-    nats = n_a * math.log1p(1.0 / (n_a + n_b)) + _scaled_h(n_b, n_a) - _scaled_h(n_b + 1.0, n_a)
-    return nats * LOG2_E
+    nats = n_a * math.log1p(1.0 / (n_a + n_b))
+    above = n_b + 1.0
+    if n_a >= 1e3 and n_a >= 10.0 * above:
+        nats += math.log(n_a) + above * math.log1p(above / n_a) - n_b * math.log1p(n_b / n_a)
+        return nats * LOG2_E - g(n_b)
+    return (nats + _scaled_h(n_b, n_a) - _scaled_h(above, n_a)) * LOG2_E
 
 
 def pie(capacity_bits: float, n_a: float) -> float:

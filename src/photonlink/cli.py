@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
 from .floatfmt import format_bytes, format_ints
 from .linkbudget import (
     DEFAULT_CONSTANTS,
@@ -42,14 +41,13 @@ from .linkbudget import (
     noise_power_watts,
     regime_summary,
 )
-from .noise import GAUSS, POISSON, NoiseModel
+from .noise import GAUSS, POISSON, NoiseModel, _click_probs
 from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _sweep
 from .receiver import (
     PatternFormatError,
     ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
-    detect_pattern,
     make_pattern,
     save_pattern,
 )
@@ -289,34 +287,30 @@ def cmd_link(args: argparse.Namespace) -> int:
     kinds = _model_kinds(args.model)
 
     # one search per scheme over every model
-    runs = {scheme: _distance_sweep(lp, kinds, args.n_b, scheme, r_grid_m) for scheme in schemes}
-    first = runs[schemes[0]]
+    columns = _distance_sweep(lp, kinds, args.n_b, schemes, r_grid_m)
     # whether n_a has an optimum depends on n_a alone, not on scheme or model
-    failed = first["flag"] == FLAG_FAILED
+    failed = columns[f"flag_{schemes[0]}"] == FLAG_FAILED
     if failed.any():
         i = failed.argmax()
-        n_a = first["n_a"][i].item()
+        n_a = columns["n_a"][i].item()
         reason = (
             "too far: n_a underflows to 0" if n_a == 0.0
             else f"too near: pulse energy n_a * m_max overflows at n_a = {n_a!r}"
         )
         raise ValueError(f"distance {r_grid_au[i % len(r_grid_au)].item()!r} AU is {reason}")
     table = {
-        "model": first["model"].tolist(),
+        "model": columns["model"].tolist(),
         "r_au": np.tile(r_grid_au, len(kinds)),
-        "n_a": first["n_a"].tolist(),
+        "n_a": columns["n_a"].tolist(),
     }
     exit_code = 0
-    for scheme, columns in runs.items():
-        table[f"rate_{scheme}_bps"] = columns["rate_bps"].tolist()
-        table[f"peak_power_{scheme}_w"] = columns["peak_power_w"].tolist()
-        table[f"flag_{scheme}"] = columns["flag"].tolist()
+    for scheme in schemes:
+        for name in (f"rate_{scheme}_bps", f"peak_power_{scheme}_w", f"flag_{scheme}"):
+            table[name] = columns[name].tolist()
         if any(flag != FLAG_OK for flag in table[f"flag_{scheme}"]):
             exit_code = 1
-    # the reference rates depend on (n_a, n_b) only, so once per row
-    points = [PhotonNumbers(*point) for point in zip(table["n_a"], first["n_b"].tolist())]
-    table["rate_shannon_bps"] = [shannon_capacity(point) * lp.bandwidth_hz for point in points]
-    table["rate_holevo_bps"] = [holevo_capacity(point) * lp.bandwidth_hz for point in points]
+    table["rate_shannon_bps"] = columns["shannon_rate_bps"].tolist()
+    table["rate_holevo_bps"] = columns["holevo_rate_bps"].tolist()
 
     params = {
         "config": args.config,
@@ -349,10 +343,12 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     out_field = apply_receiver(pattern, cfg)
     mean, std = concentration_efficiency(cfg)
 
-    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v
+    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v;
+    # the click columns are detect_pattern's, from the energies formed once
+    energies = out_field.bin_energies()
     columns = (
-        [*pattern.amps.view(float).T, *out_field.amps.view(float).T, out_field.bin_energies()]
-        + [detect_pattern(out_field, model) for model in models]
+        [*pattern.amps.view(float).T, *out_field.amps.view(float).T, energies]
+        + [_click_probs(model.kind, model.n_b, energies)[1] for model in models]
     )
     names = (
         ["in_re_h", "in_im_h", "in_re_v", "in_im_v"]

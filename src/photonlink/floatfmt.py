@@ -5,9 +5,8 @@ for each float the shortest decimal that reads back to it, the one closest
 to it when several are that short, laid out as Python lays out ``repr``.
 The text comes as a (len(a), 25) uint8 array, NUL padded, with each value's
 length, so a caller can gather it into a larger buffer without a Python
-string per value; ``format_floats(a)`` is the same text as a list of
-``str``.  ``format_ints(a)`` gives ``str`` of each integer below 10**17 in
-magnitude in the same layout.  The digits come from Schubfach (R.
+string per value.  ``format_ints(a)`` gives ``str`` of each integer below
+10**17 in magnitude in the same layout.  The digits come from Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020), which finds them
 with three products of the scaled significand and a 126-bit power of ten
 rounded to odd; numpy has no 128-bit integers, so the products run on
@@ -271,12 +270,6 @@ def format_bytes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bits.ndim != 1:
         raise ValueError(f"format_bytes takes a one-dimensional array, got shape {bits.shape}")
     return _text(bits, _float_block)
-
-
-def format_floats(a: np.ndarray) -> list[str]:
-    """``[repr(x) for x in a.tolist()]`` of a one-dimensional float64 array."""
-    text, _ = format_bytes(a)
-    return text.view(f"S{_WIDTH}").reshape(-1).astype(f"U{_WIDTH}").tolist()
 
 
 def format_ints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,15 +12,16 @@ and the detected signal photon number per bin of duration 1/B is
 published link tables for the reference regimes below are based on;
 ``CODATA_CONSTANTS`` switches to the exact defined values.
 
-The distances of a table, under every noise model it lists, share one
-batched M search per scheme (optimize._maximize).
+One call of ``_distance_sweep`` lays out a whole table: the distances,
+under every noise model it lists, share one batched M search per scheme
+(optimize._maximize), and the Shannon and Holevo reference rates are
+computed once per distance, whatever the schemes and models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -166,12 +167,8 @@ def transmitter_peak_power(
 
 @dataclass(frozen=True)
 class DistanceRow:
-    """Optimized link performance at one distance.
-
-    The Shannon and Holevo reference rates at the same (n_a, n_b) are
-    computed when first read, so a table that shows them once for several
-    schemes computes them once.
-    """
+    """Optimized link performance at one distance, with the Shannon and
+    Holevo reference rates at the same (n_a, n_b)."""
 
     distance_m: float
     n_a: float
@@ -180,42 +177,37 @@ class DistanceRow:
     peak_power_w: float
     flag: str
     n_b: float
-    bandwidth_hz: float
-
-    @cached_property
-    def shannon_rate_bps(self) -> float:
-        return shannon_capacity(PhotonNumbers(self.n_a, self.n_b)) * self.bandwidth_hz
-
-    @cached_property
-    def holevo_rate_bps(self) -> float:
-        return holevo_capacity(PhotonNumbers(self.n_a, self.n_b)) * self.bandwidth_hz
+    shannon_rate_bps: float
+    holevo_rate_bps: float
 
 
 def _distance_sweep(
     lp_template: LinkParams,
     kinds: Sequence[str],
     n_b: float,
-    scheme: str,
+    schemes: Sequence[str],
     r_grid_m: Sequence[float],
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> dict[str, np.ndarray]:
-    """Optimized data rate and peak power over a (kind, distance) grid,
-    searched in one batch by optimize._maximize, which checks the kinds,
-    the background ``n_b`` and the scheme.
+    """Optimized data rate and peak power of each scheme over a (kind,
+    distance) grid, searched in one batch per scheme by optimize._maximize,
+    which checks the kinds, the background ``n_b`` and the scheme.
 
     Returns columns keyed by name, one entry per point with the kinds, then
     the distances, in the given order: float64 arrays ``distance_m``,
-    ``n_a`` and ``n_b``, the str array ``model``, float64 arrays
-    ``m_star``, ``rate_bps`` and ``peak_power_w``, then the str array
-    ``flag``, "boundary" where the optimum sits on the search bound,
-    "failed" where n_a has no optimum (n_a <= 0, or n_a * m_max not
-    finite; m_star, rate and peak power are NaN there) and "ok" elsewhere.
-    A distance that is not finite and > 0 raises ValueError naming it as a
-    float.
+    ``n_a`` and ``n_b`` and the str array ``model``; for each scheme s,
+    float64 arrays ``m_star_<s>``, ``rate_<s>_bps`` and
+    ``peak_power_<s>_w`` and the str array ``flag_<s>``, "boundary" where
+    the optimum sits on the search bound, "failed" where n_a has no optimum
+    (n_a <= 0, or n_a * m_max not finite; m_star, rate and peak power are
+    NaN there) and "ok" elsewhere; then float64 arrays
+    ``shannon_rate_bps`` and ``holevo_rate_bps``, NaN where n_a has no
+    optimum.  A distance that is not finite and > 0 raises ValueError
+    naming it as a float.
     """
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
-    # the columns hold every kind's points in turn; the search takes one kind's
+    # the columns hold every kind's points in turn; a search takes one kind's
     r_m = np.array(r_grid_m * len(kinds), dtype=float)
     bad = ~(np.isfinite(r_m) & (r_m > 0.0))
     if bad.any():
@@ -227,17 +219,25 @@ def _distance_sweep(
         n_a = _photon_number(lp_template, eta_ch, constants)
     # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
     n_b = np.full_like(n_a, n_b + 0.0)
-    m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
-    return {
-        "distance_m": r_m,
-        "n_a": n_a,
-        "n_b": n_b,
-        "model": np.repeat(kinds, points),
-        "m_star": m_star,
-        "rate_bps": mi * lp_template.bandwidth_hz,
-        "peak_power_w": _peak_power(m_star, n_a, lp_template, eta_ch, constants),
-        "flag": flag,
-    }
+    columns = {"distance_m": r_m, "n_a": n_a, "n_b": n_b, "model": np.repeat(kinds, points)}
+    for scheme in schemes:
+        m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
+        columns[f"m_star_{scheme}"] = m_star
+        columns[f"rate_{scheme}_bps"] = mi * lp_template.bandwidth_hz
+        columns[f"peak_power_{scheme}_w"] = _peak_power(m_star, n_a, lp_template, eta_ch, constants)
+        columns[f"flag_{scheme}"] = flag
+    # the reference rates depend on (n_a, n_b) alone, which every kind
+    # shares; NaN where the search found n_a without an optimum
+    bandwidth = lp_template.bandwidth_hz
+    shannon, holevo = [math.nan] * points, [math.nan] * points
+    for i, (n_a_i, n_b_i, flag_i) in enumerate(zip(n_a[:points].tolist(), n_b.tolist(), flag.tolist())):
+        if flag_i != FLAG_FAILED:
+            pn = PhotonNumbers(n_a_i, n_b_i)
+            shannon[i] = shannon_capacity(pn) * bandwidth
+            holevo[i] = holevo_capacity(pn) * bandwidth
+    columns["shannon_rate_bps"] = np.array(shannon * len(kinds))
+    columns["holevo_rate_bps"] = np.array(holevo * len(kinds))
+    return columns
 
 
 def rate_vs_distance(
@@ -255,18 +255,18 @@ def rate_vs_distance(
     optimum flags its row instead of aborting.  A distance whose n_a has no
     optimum raises ValueError naming it in metres.
     """
-    columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, scheme, r_grid_m, constants)
-    failed = columns["flag"] == FLAG_FAILED
+    columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, [scheme], r_grid_m, constants)
+    failed = columns[f"flag_{scheme}"] == FLAG_FAILED
     if failed.any():
         i = failed.argmax()
         raise ValueError(
             f"no optimum at distance_m = {columns['distance_m'][i].item()!r}: n_a = {columns['n_a'][i].item()!r}"
         )
-    fields = ("distance_m", "n_a", "m_star", "rate_bps", "peak_power_w", "flag", "n_b")
-    return [
-        DistanceRow(*row, bandwidth_hz=lp_template.bandwidth_hz)
-        for row in zip(*(columns[name].tolist() for name in fields))
-    ]
+    fields = (
+        "distance_m", "n_a", f"m_star_{scheme}", f"rate_{scheme}_bps", f"peak_power_{scheme}_w",
+        f"flag_{scheme}", "n_b", "shannon_rate_bps", "holevo_rate_bps",
+    )
+    return [DistanceRow(*row) for row in zip(*(columns[name].tolist() for name in fields))]
 
 
 @dataclass(frozen=True)

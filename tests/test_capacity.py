@@ -167,9 +167,10 @@ class TestHolevoCapacity:
 
 
 def holevo_reference(n_a, n_b):
-    """g(n_a + n_b) - g(n_b) in bits at 60 digits.  The difference of the
-    entropies gives up at most 15 of them over the ranges tested here."""
-    with mp.workdps(60):
+    """g(n_a + n_b) - g(n_b) in bits, to at least 45 digits.  The difference
+    of the entropies gives up at most 15 of 60 digits at n_a << n_b, and
+    about log10(n_a) more at large n_a, which the precision adds."""
+    with mp.workdps(60 + max(0, int(math.log10(n_a + n_b + 1.0)))):
         a, b = mp.mpf(n_a), mp.mpf(n_b)
 
         def g_mp(x):
@@ -186,12 +187,13 @@ def assert_holevo_matches_reference(n_a, n_b):
 
 
 class TestHolevoAgainstMpmath:
-    """Over n_a in [1e-10, 1] and n_b in {0} u [1e-10, 1e2], where the
-    difference of two entropies lost up to 3e-2 of its value at n_a << n_b."""
+    """Over n_a in [1e-10, 1.7e308] and n_b in {0} u [1e-10, 1e2], where the
+    difference of two entropies lost up to 3e-2 of its value at n_a << n_b,
+    and the h-form all of it as n_a nears the float maximum."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
-        log_n_a=st.floats(min_value=-10.0, max_value=0.0),
+        log_n_a=st.floats(min_value=-10.0, max_value=308.23),
         n_b=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=2.0).map(lambda x: 10.0**x)),
     )
     def test_random_points(self, log_n_a, n_b):
@@ -204,6 +206,23 @@ class TestHolevoAgainstMpmath:
     )
     def test_points_of_former_cancellation(self, n_a, n_b):
         assert_holevo_matches_reference(n_a, n_b)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b",
+        [(1e6, 1e-2), (1e8, 1e-2), (1e12, 1.0), (5.2e4, 87.0), (1e5, 1e2), (1e20, 0.0),
+         (1.7976931348623157e308, 0.0), (1.7976931348623157e308, 1e2), (1e300, 1e-300)],
+    )
+    def test_large_signal_keeps_its_digits(self, n_a, n_b):
+        # where n_a >> n_b + 1, each n_b term of the h-form is n_a to
+        # leading order, and their difference lost up to all of its digits
+        assert_holevo_matches_reference(n_a, n_b)
+
+    @pytest.mark.parametrize("n_b", [0.0, 5e-324, 1e-2, 1.0, 99.0, 1e2])
+    def test_both_forms_agree_where_they_meet(self, n_b):
+        # the large-signal form takes over at n_a = max(1e3, 10 (n_b + 1))
+        edge = max(1e3, 10.0 * (n_b + 1.0))
+        for n_a in (math.nextafter(edge, 0.0), edge, 2.0 * edge):
+            assert_holevo_matches_reference(n_a, n_b)
 
     @pytest.mark.parametrize("n_b", [5e-324, 1e-310, 2.2250738585072014e-308])
     def test_tiny_background_keeps_its_digits(self, n_b):

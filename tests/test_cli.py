@@ -889,6 +889,50 @@ class TestLink:
         assert capsys.readouterr().err == f"photonlink link: error: distance {message}\n"
         assert not out.exists()
 
+    def test_table_is_rate_vs_distance_field_by_field(self, tmp_path):
+        # one sweep lays out the table, row by row what rate_vs_distance
+        # gives for each model and scheme; the reference rates are the
+        # capacities' own, scaled by the bandwidth
+        code, _, rows = run_to_file(
+            ["link", "--model", "both", "--schemes", "ppm", "ook", "--r-au-grid", "0.1", "1e3", "9"],
+            tmp_path / "link.csv",
+        )
+        assert code == 0
+        lp = load_link_params(str(resources.files("photonlink").joinpath("configs/table1_optical.cfg")))
+        r_m = np.geomspace(0.1, 1e3, 9) * DEFAULT_CONSTANTS.au_m
+        assert len(rows) == 18
+        for k, kind in enumerate(("poisson", "gauss")):
+            table = rows[9 * k : 9 * (k + 1)]
+            assert [row["model"] for row in table] == [kind] * 9
+            for scheme in (PPM, OOK):
+                expected = rate_vs_distance(lp, NoiseModel(kind, 1e-2), scheme, r_m)
+                for row, want in zip(table, expected):
+                    assert float(row["r_au"]) * DEFAULT_CONSTANTS.au_m == want.distance_m
+                    assert float(row["n_a"]) == want.n_a
+                    assert float(row[f"rate_{scheme}_bps"]) == want.rate_bps
+                    assert float(row[f"peak_power_{scheme}_w"]) == want.peak_power_w
+                    assert row[f"flag_{scheme}"] == want.flag
+                    assert float(row["rate_shannon_bps"]) == want.shannon_rate_bps
+                    assert float(row["rate_holevo_bps"]) == want.holevo_rate_bps
+                    pn = capacity.PhotonNumbers(want.n_a, want.n_b)
+                    assert want.shannon_rate_bps == capacity.shannon_capacity(pn) * lp.bandwidth_hz
+                    assert want.holevo_rate_bps == capacity.holevo_capacity(pn) * lp.bandwidth_hz
+
+    @pytest.mark.parametrize("n_b", ["0", "1e-2"])
+    @pytest.mark.parametrize("config", ["table1_optical.cfg", "table1_rf.cfg"])
+    def test_holevo_rate_is_never_below_shannon(self, tmp_path, config, n_b):
+        # the grid runs from n_a far above n_b + 1, where the h-form of the
+        # Holevo capacity lost its digits, to n_a far below n_b
+        path = str(resources.files("photonlink").joinpath(f"configs/{config}"))
+        _, _, rows = run_to_file(
+            ["link", "--config", path, "--n-b", n_b, "--r-au-grid", "1e-20", "1e4", "40"],
+            tmp_path / "link.csv",
+        )
+        assert len(rows) == 40
+        for row in rows:
+            holevo, shannon = float(row["rate_holevo_bps"]), float(row["rate_shannon_bps"])
+            assert holevo >= shannon > 0.0, row
+
     def test_rejects_repeated_scheme(self, tmp_path, capsys):
         out = tmp_path / "link.csv"
         assert cli.main(["link", "--schemes", "ook", "ppm", "ppm", "--out", str(out)]) == 2

@@ -1,4 +1,4 @@
-"""``format_floats`` against ``repr``, float by float.
+"""``format_bytes`` against ``repr``, float by float.
 
 The families cover what a shortest-digit algorithm gets wrong first: random
 bit patterns, the powers of two (whose rounding interval is lopsided), the
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink import floatfmt
-from photonlink.floatfmt import format_bytes, format_floats, format_ints
+from photonlink.floatfmt import format_bytes, format_ints
 
 
 def assert_text(text, lengths, want):
@@ -29,9 +29,15 @@ def assert_text(text, lengths, want):
     assert not text[np.arange(floatfmt._WIDTH) >= lengths[:, None]].any()
 
 
+def decoded(a):
+    """``format_bytes`` of ``a`` as a list of ``str``, the NUL padding dropped."""
+    text, _ = format_bytes(a)
+    return text.view(f"S{floatfmt._WIDTH}").reshape(-1).astype(f"U{floatfmt._WIDTH}").tolist()
+
+
 def assert_repr(a):
     a = np.asarray(a, dtype=np.float64)
-    got = format_floats(a)
+    got = decoded(a)
     want = [repr(x) for x in a.tolist()]
     assert len(got) == len(want)
     wrong = [(x, g, w) for x, g, w in zip(a.tolist(), got, want) if g != w]
@@ -87,7 +93,7 @@ def test_zeros_infinities_and_nans():
         dtype=np.uint64,
     ).view(np.float64)
     values = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 1.0], payloads])
-    assert format_floats(values) == ["0.0", "-0.0", "inf", "-inf", "1.0"] + ["nan"] * len(payloads)
+    assert decoded(values) == ["0.0", "-0.0", "inf", "-inf", "1.0"] + ["nan"] * len(payloads)
 
 
 def test_layout_switch_points():
@@ -104,7 +110,7 @@ def test_extremes():
 
 
 def test_empty_and_block_edges():
-    assert format_floats(np.array([], dtype=np.float64)) == []
+    assert_text(*format_bytes(np.array([], dtype=np.float64)), [])
     values = np.random.default_rng(7).standard_normal(2 * floatfmt._BLOCK + 1)
     for n in (1, floatfmt._BLOCK - 1, floatfmt._BLOCK, floatfmt._BLOCK + 1, len(values)):
         assert_repr(values[:n])
@@ -113,36 +119,36 @@ def test_empty_and_block_edges():
 def test_non_contiguous_and_other_float_input():
     values = np.random.default_rng(8).standard_normal(100)
     assert_repr(values[::3])
-    assert format_floats(np.float32([0.1, 2.5])) == [repr(x) for x in np.float32([0.1, 2.5]).tolist()]
+    assert decoded(np.float32([0.1, 2.5])) == [repr(x) for x in np.float32([0.1, 2.5]).tolist()]
 
 
 def test_two_dimensional_input_is_refused():
     with pytest.raises(ValueError):
-        format_floats(np.zeros((2, 2)))
+        format_bytes(np.zeros((2, 2)))
 
 
 def test_threads_get_their_own_buffers():
     # numpy lets go of the interpreter lock inside a block's gathers, so
     # threads that shared the block buffers would mix up their texts; the
-    # str and the byte output alternate between tasks
+    # float and the integer texts alternate between tasks
     rng = np.random.default_rng(11)
-    arrays = [rng.standard_normal(floatfmt._BLOCK + 100) * 10.0 ** rng.integers(-30, 30) for _ in range(6)]
-    want = [[repr(x) for x in a.tolist()] for a in arrays]
+    floats = [rng.standard_normal(floatfmt._BLOCK + 100) * 10.0 ** rng.integers(-30, 30) for _ in range(6)]
+    ints = [rng.integers(-floatfmt._INT_MAX, floatfmt._INT_MAX, floatfmt._BLOCK + 100) for _ in range(6)]
+    want = [[repr(x) for x in a.tolist()] for a in floats]
+    want_ints = [[str(v) for v in a.tolist()] for a in ints]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             futures = [
-                pool.submit(format_bytes if i % 2 else format_floats, arrays[i % 6]) for i in range(24)
+                pool.submit(format_ints, ints[i % 6]) if i % 2 else pool.submit(format_bytes, floats[i % 6])
+                for i in range(24)
             ]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     for i, result in enumerate(results):
-        if i % 2:
-            assert_text(*result, want[i % 6])
-        else:
-            assert result == want[i % 6]
+        assert_text(*result, (want_ints if i % 2 else want)[i % 6])
 
 
 def test_ints_at_digit_boundaries():
@@ -174,7 +180,7 @@ def test_ints_out_of_range_or_not_integers_are_refused(values):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 def test_hypothesis_floats(values):
-    assert format_floats(np.array(values, dtype=np.float64)) == [repr(x) for x in values]
+    assert decoded(np.array(values, dtype=np.float64)) == [repr(x) for x in values]
 
 
 def floor_log10(x: Fraction) -> int:
