@@ -11,10 +11,14 @@ Four subcommands:
 ``pie-sweep`` and ``link`` run one M search per scheme, holding the points
 of every noise model given.
 
-Output is CSV with a '#'-prefixed metadata header that echoes the command
-and every parameter; given the same arguments the data section is
-byte-identical between runs.  Exit codes: 0 success, 1 a computational flag
-was raised (optimizer hit the search bound), 2 usage or config errors.
+Each subcommand computes its columns and hands them to one output step.
+Output is CSV with a '#'-prefixed metadata header that echoes the command,
+every option except ``--out`` in parser order, then derived values; given
+the same arguments the data section is byte-identical between runs.  Only
+a table whose columns are all float64 arrays or a ``range`` is built as
+bytes; any other is joined as ``str``.  Exit codes: 0 success, 1 a
+computational flag was raised (optimizer hit the search bound), 2 usage or
+config errors, among them an option whose text holds a line break.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from . import __version__
 from .floatfmt import format_bytes, format_ints
 from .linkbudget import (
     DEFAULT_CONSTANTS,
-    LinkConfigError,
     REFERENCE_REGIMES,
     _distance_sweep,
     load_link_params,
@@ -44,7 +47,6 @@ from .linkbudget import (
 from .noise import GAUSS, POISSON, NoiseModel, _click_probs
 from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _sweep
 from .receiver import (
-    PatternFormatError,
     ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
@@ -78,15 +80,16 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
     bits keep -0.0 apart from 0.0, which compare and hash equal as floats.
     A column that repeats, with at most half its cells distinct, is
     formatted once per distinct value and its cells found by
-    ``np.searchsorted``; any other column is formatted cell by cell.  From
-    ``_VECTOR_MIN`` distinct floats on, the block is built as bytes: the
-    floats by ``format_bytes``, a ``range`` column by ``format_ints``, each
-    other cell by ``str``.  Every text is a NUL-padded row of one pool with
-    its comma or newline after it; one gather lays each table row's cells
-    side by side, and one boolean compress keeps the text and separators,
-    which are returned as that uint8 array, not copied into ``bytes``.
-    Below that, ``repr`` of the floats and ``str`` of the other cells are
-    joined as ``str``, which costs less there.
+    ``np.searchsorted``; any other column is formatted cell by cell.  A
+    block of ``_VECTOR_MIN`` or more distinct floats whose every column is
+    a float64 array or a ``range`` is built as bytes: the floats by
+    ``format_bytes``, a ``range`` by ``format_ints``.  Every text is a
+    NUL-padded row of one pool with its comma or newline after it; one
+    gather lays each table row's cells side by side, and one boolean
+    compress keeps the text and separators, which are returned as that
+    uint8 array, not copied into ``bytes``.  Any other block joins ``repr``
+    of the floats and ``str`` of the other cells as ``str``, which costs
+    less there.
     """
     parts = [column[rows] for column in columns]
     n_rows = len(parts[0])
@@ -108,7 +111,8 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
         else:
             found.append((bits, None))
     values = np.concatenate([np.empty(0, dtype=np.int64), *(bits for bits, _ in found)]).view(np.float64)
-    if n_distinct < _VECTOR_MIN:
+    ranges = [i for i, part in enumerate(parts) if isinstance(part, range)]
+    if n_distinct < _VECTOR_MIN or len(floats) + len(ranges) < len(parts):
         cells: list[Iterable[str]] = [map(str, part) for part in parts]
         text = np.array([repr(x) for x in values.tolist()], dtype=object)
         start = 0
@@ -119,7 +123,7 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
         return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
     # the pool's rows: the floats to format of each float64 column, then a
-    # row per cell of each other column
+    # row per cell of each range column
     text, length = format_bytes(values)
     texts, lengths = [text], [length]
     cell = np.empty((n_rows, len(parts)), dtype=np.intp)
@@ -127,17 +131,9 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
     for i, (bits, index) in zip(floats, found):
         cell[:, i] = np.arange(size, size + n_rows) if index is None else index + size
         size += len(bits)
-    # str cells may hold NUL themselves
-    str_lengths = {}
-    for i, part in enumerate(parts):
-        if i in floats:
-            continue
-        if isinstance(part, range):
-            text, length = format_ints(np.arange(part.start, part.stop, part.step))
-        else:
-            encoded = [str(value).encode() for value in part]
-            length = str_lengths[i] = np.fromiter(map(len, encoded), dtype=np.intp, count=n_rows)
-            text = np.array(encoded, dtype=f"S{length.max() + 1}").view(np.uint8).reshape(n_rows, -1)
+    for i in ranges:
+        part = parts[i]
+        text, length = format_ints(np.arange(part.start, part.stop, part.step))
         texts.append(text)
         lengths.append(length)
         cell[:, i] = np.arange(size, size + n_rows)
@@ -154,10 +150,7 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
     pool[np.arange(size), np.concatenate(lengths)] = separator
     grid = pool.take(cell, axis=0)
     # the text of a number holds no NUL, so what is not 0 is text or separator
-    keep = grid != 0
-    for i, length in str_lengths.items():
-        np.less_equal(np.arange(width), length[:, None], out=keep[:, i])
-    return grid[keep]
+    return grid[grid != 0]
 
 
 def _write_table(
@@ -198,6 +191,28 @@ def _write_table(
             write(_block_bytes(columns, slice(start, start + _BLOCK_ROWS)))
 
 
+def _echo(args: argparse.Namespace, **derived: object) -> dict[str, str]:
+    """The '#' header's parameters: ``args``'s options, then ``derived``.
+
+    Every option is echoed in parser order, except ``--out`` and any left at
+    None; a list or tuple as its items' ``str`` joined by spaces.  A derived
+    name already among them keeps its place.  A value whose text holds a
+    line break is refused, since it would end its header line early.
+    """
+    params = {key: value for key, value in vars(args).items() if value is not None}
+    for key in ("command", "func", "out"):
+        params.pop(key, None)
+    params.update(derived)
+    header = {}
+    for key, value in params.items():
+        text = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+        # splitlines drops every line break, a trailing one too
+        if "".join(text.splitlines()) != text:
+            raise ValueError(f"--{key.replace('_', '-')} {text!r} holds a line break, which the header cannot echo")
+        header[key] = text
+    return header
+
+
 def _bundled_config(name: str) -> str:
     return str(resources.files("photonlink").joinpath(f"configs/{name}"))
 
@@ -235,12 +250,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "reference": reference,
         "rel_error": [abs(c - r) / r for c, r in zip(computed, reference)],
     }
-    params = {
-        "rf_config": args.rf_config,
-        "optical_config": args.optical_config,
-        "n_b_rf": REFERENCE_REGIMES["rf"].n_b,
-        "n_b_optical": REFERENCE_REGIMES["optical"].n_b,
-    }
+    params = _echo(args, n_b_rf=REFERENCE_REGIMES["rf"].n_b, n_b_optical=REFERENCE_REGIMES["optical"].n_b)
     _write_table(args.out, "table1", params, table)
     return 0
 
@@ -258,12 +268,7 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
         table = {name: column.tolist() for name, column in sweep.items()}
         if any(flag != FLAG_OK for flag in table["flag"]):
             exit_code = 1
-        params = {
-            "scheme": scheme,
-            "model": args.model,
-            "n_b": " ".join(repr(v) for v in args.n_b),
-            "na_grid": " ".join(repr(v) for v in args.na_grid),
-        }
+        params = _echo(args, scheme=scheme)
         out = args.out
         if out is not None and len(schemes) > 1:
             path = Path(out)
@@ -300,7 +305,7 @@ def cmd_link(args: argparse.Namespace) -> int:
         raise ValueError(f"distance {r_grid_au[i % len(r_grid_au)].item()!r} AU is {reason}")
     table = {
         "model": columns["model"].tolist(),
-        "r_au": np.tile(r_grid_au, len(kinds)),
+        "r_au": np.tile(r_grid_au, len(kinds)).tolist(),
         "n_a": columns["n_a"].tolist(),
     }
     exit_code = 0
@@ -311,15 +316,7 @@ def cmd_link(args: argparse.Namespace) -> int:
             exit_code = 1
     table["rate_shannon_bps"] = columns["shannon_rate_bps"].tolist()
     table["rate_holevo_bps"] = columns["holevo_rate_bps"].tolist()
-
-    params = {
-        "config": args.config,
-        "n_b": args.n_b,
-        "model": args.model,
-        "schemes": " ".join(schemes),
-        "r_au_grid": " ".join(repr(v) for v in args.r_au_grid),
-        "noise_power_w": noise_power_watts(args.n_b, lp.f_c_hz, lp.bandwidth_hz),
-    }
+    params = _echo(args, noise_power_w=noise_power_watts(args.n_b, lp.f_c_hz, lp.bandwidth_hz))
     _write_table(args.out, "link", params, table)
     return exit_code
 
@@ -356,23 +353,9 @@ def cmd_receiver(args: argparse.Namespace) -> int:
         + [f"click_prob_{kind}" for kind in kinds]
     )
     table = {"bin": range(pattern.n_bins), **dict(zip(names, columns))}
-
-    params = {
-        "k": args.k,
-        "target_bin": args.target_bin,
-        "energy": args.energy,
-        "loss": args.loss,
-        "phase_sigma": args.phase_sigma,
-        "seed": args.seed,
-        "trials": args.trials,
-        "n_b": args.n_b,
-        "model": args.model,
-        "concentration_mean": repr(mean),
-        "concentration_std": repr(std),
-    }
+    params = _echo(args, concentration_mean=mean, concentration_std=std)
     if args.pattern_out is not None:
         save_pattern(args.pattern_out, pattern)
-        params["pattern_out"] = args.pattern_out
     print(SEPARATION_NOTE, file=sys.stderr)
     _write_table(args.out, "receiver", params, table)
     return 0
@@ -432,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rx.add_argument("--energy", type=float, default=1.0)
     p_rx.add_argument("--loss", type=float, default=1.0, help="per-module power transmission")
     p_rx.add_argument("--phase-sigma", type=float, default=0.0, help="phase error spread, rad")
+    p_rx.add_argument("--seed", type=int, default=0)
     p_rx.add_argument("--trials", type=int, default=1000, help=">= 1; changes no output")
     p_rx.add_argument("--n-b", type=float, default=0.0)
     p_rx.add_argument("--model", choices=[POISSON, GAUSS, "both"], default=POISSON)
-    p_rx.add_argument("--seed", type=int, default=0)
     p_rx.add_argument("--out", default=None)
     p_rx.add_argument("--pattern-out", default=None, help="write the codebook pattern file")
     p_rx.set_defaults(func=cmd_receiver)
@@ -448,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LinkConfigError, PatternFormatError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"photonlink {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -4,12 +4,14 @@ Each test drives ``photonlink.cli.main`` directly with an argv list and
 inspects exit codes, files written to ``tmp_path``, or captured output.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -77,6 +79,24 @@ def run_to_file(argv, path):
     return code, meta, rows
 
 
+@pytest.fixture
+def format_bytes_calls(monkeypatch):
+    # the values of each format_bytes call: one call per block built as bytes
+    calls = []
+    format_bytes = cli.format_bytes
+
+    def counting_format_bytes(a):
+        calls.append(len(a))
+        return format_bytes(a)
+
+    monkeypatch.setattr(cli, "format_bytes", counting_format_bytes)
+    return calls
+
+
+def n_blocks(rows):
+    return -(-rows // cli._BLOCK_ROWS)
+
+
 class TestWriteTable:
     def test_cells_are_written_with_str(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -131,12 +151,13 @@ class TestWriteTable:
         assert not out.exists()
 
     @staticmethod
-    def block_table(rows, seed):
-        # distinct floats per block: about 3 per row, plus a pool of 20
+    def block_table(rows, seed, numeric):
+        # distinct floats per block: about 3 per row, plus a pool of 20; only
+        # a numeric table, without the flag column, is built as bytes
         rng = np.random.default_rng(seed)
         pool = np.concatenate([[0.0, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan],
                                rng.standard_normal(12) * 10.0 ** rng.integers(-300, 300, 12)])
-        return {
+        table = {
             "bin": range(rows),
             "unique": rng.standard_normal(rows),
             "scaled": rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows),
@@ -144,12 +165,16 @@ class TestWriteTable:
             "energy": np.abs(rng.standard_normal(rows)),
             "flag": rng.choice(["ok", "boundary"], rows).tolist(),
         }
+        if numeric:
+            del table["flag"]
+        return table
 
+    @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
-    def test_blocks_give_the_text_of_str_per_row(self, tmp_path, rows):
+    def test_blocks_give_the_text_of_str_per_row(self, tmp_path, format_bytes_calls, rows, numeric):
         # the blocks of 8192 rows straddle the cut-over: a full block has
         # about 24,000 distinct floats, the 1-row tail block 4
-        table = self.block_table(rows, seed=rows)
+        table = self.block_table(rows, seed=rows, numeric=numeric)
         rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
         want = [",".join(map(str, row)) for row in rows_text]
         out = tmp_path / "t.csv"
@@ -157,26 +182,35 @@ class TestWriteTable:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[1] == ",".join(table)
         assert lines[2:] == want
+        assert len(format_bytes_calls) == (1 if numeric and rows >= 8191 else 0)
 
+    @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("vector_min", [0, 10**9])
-    def test_both_sides_of_the_cut_over_write_the_same_bytes(self, tmp_path, monkeypatch, vector_min):
-        table = self.block_table(300, seed=5)
+    def test_both_sides_of_the_cut_over_write_the_same_bytes(
+        self, tmp_path, monkeypatch, format_bytes_calls, vector_min, numeric
+    ):
+        table = self.block_table(300, seed=5, numeric=numeric)
         reference = tmp_path / "reference.csv"
         cli._write_table(str(reference), "demo", {}, table)
         monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_bytes() == reference.read_bytes()
+        assert len(format_bytes_calls) == (1 if numeric and vector_min == 0 else 0)
 
+    @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("rows", [0, 1, 8193])
-    def test_byte_path_writes_an_empty_table_and_a_one_row_tail_block(self, tmp_path, monkeypatch, rows):
+    def test_byte_path_writes_an_empty_table_and_a_one_row_tail_block(
+        self, tmp_path, monkeypatch, format_bytes_calls, rows, numeric
+    ):
         monkeypatch.setattr(cli, "_VECTOR_MIN", 0)
-        table = self.block_table(rows, seed=rows)
+        table = self.block_table(rows, seed=rows, numeric=numeric)
         rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
         want = [",".join(map(str, row)) for row in rows_text]
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8").splitlines()[2:] == want
+        assert len(format_bytes_calls) == (n_blocks(rows) if numeric else 0)
 
     def test_byte_path_keeps_nul_and_non_ascii_in_str_cells(self, tmp_path, monkeypatch):
         # a number's text never holds NUL, a str cell may
@@ -216,9 +250,12 @@ class TestWriteTable:
         cells = np.concatenate([pool[:n_distinct], rng.choice(pool[:n_distinct], rows - n_distinct)])
         return rng.permutation(cells)
 
+    @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("vector_min", [0, 10**9])
     @pytest.mark.parametrize("rows", [1, 2, 400, 8192, 8193])
-    def test_dedupe_gives_the_text_of_str_per_row(self, tmp_path, monkeypatch, rows, vector_min):
+    def test_dedupe_gives_the_text_of_str_per_row(
+        self, tmp_path, monkeypatch, format_bytes_calls, rows, vector_min, numeric
+    ):
         # distinct shares below, at and just above one half, and 1: a column
         # is formatted per distinct value only up to one half; the pools mix
         # 0.0 with -0.0, nan bit patterns and subnormals
@@ -242,9 +279,12 @@ class TestWriteTable:
             "subnormals": rng.choice(subnormals, rows),
             "flag": rng.choice(["ok", "boundary"], rows).tolist(),
         }
+        if numeric:
+            del table["flag"]
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
+        assert len(format_bytes_calls) == (n_blocks(rows) if numeric and vector_min == 0 else 0)
 
     def test_empty_table_writes_the_header_alone(self, tmp_path):
         table = {"bin": range(0), "x": np.empty(0), "flag": []}
@@ -252,27 +292,26 @@ class TestWriteTable:
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8") == f"# photonlink {__version__} demo\nbin,x,flag\n"
 
-    @pytest.mark.parametrize("n_distinct, byte_path", [(cli._VECTOR_MIN - 1, False), (cli._VECTOR_MIN, True)])
-    def test_cut_over_counts_distinct_floats_not_formatted_ones(self, tmp_path, monkeypatch, n_distinct, byte_path):
+    @pytest.mark.parametrize(
+        "n_distinct, flag, byte_path",
+        [(cli._VECTOR_MIN - 1, False, False), (cli._VECTOR_MIN, False, True), (cli._VECTOR_MIN, True, False)],
+    )
+    def test_cut_over_counts_distinct_floats_not_formatted_ones(
+        self, tmp_path, format_bytes_calls, n_distinct, flag, byte_path
+    ):
         # 1500 rows with 999 or 1000 distinct floats: more than half, so the
         # column is formatted cell by cell, 1500 values, yet the path is
-        # chosen by its distinct count
-        calls = []
-        format_bytes = cli.format_bytes
-
-        def counting_format_bytes(a):
-            calls.append(len(a))
-            return format_bytes(a)
-
-        monkeypatch.setattr(cli, "format_bytes", counting_format_bytes)
+        # chosen by its distinct count; a list column keeps the table on str
         rng = np.random.default_rng(n_distinct)
         rows = 1500
         pool = np.concatenate([[0.0, -0.0, 5e-324], rng.standard_normal(n_distinct - 3)])
         table = {"x": self.repeating(rng, rows, n_distinct, pool)}
+        if flag:
+            table["flag"] = rng.choice(["ok", "boundary"], rows).tolist()
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
-        assert calls == ([rows] if byte_path else [])
+        assert format_bytes_calls == ([rows] if byte_path else [])
 
     @pytest.mark.parametrize(
         "argv",
@@ -288,8 +327,11 @@ class TestWriteTable:
                 assert cli.main(argv) == 0
         assert sink.getvalue().encode("utf-8") == out.read_bytes()
 
-    def test_binary_stdout_gets_earlier_text_then_the_header_then_the_rows(self, tmp_path, monkeypatch):
-        table = self.block_table(8193, seed=3)
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_binary_stdout_gets_earlier_text_then_the_header_then_the_rows(
+        self, tmp_path, monkeypatch, format_bytes_calls, numeric
+    ):
+        table = self.block_table(8193, seed=3, numeric=numeric)
         reference = tmp_path / "t.csv"
         cli._write_table(str(reference), "demo", {"n_b": 0.01}, table)
         raw = io.BytesIO()
@@ -300,6 +342,8 @@ class TestWriteTable:
         cli._write_table(None, "demo", {"n_b": 0.01}, table)
         stdout.flush()
         assert raw.getvalue() == b"earlier text\n" + reference.read_bytes()
+        # the full first block of each write is built as bytes
+        assert len(format_bytes_calls) == (2 if numeric else 0)
 
 
 # sha256 of the data section (the lines after the '#' header, which echoes
@@ -379,6 +423,102 @@ class TestPinnedOutput:
         assert cli.main(PINNED_RUNS["pie-sweep-boundary"] + ["--out", str(tmp_path / "b.csv")]) == 1
         rows = parse_table((tmp_path / "b_ppm.csv").read_text(encoding="utf-8"))[1]
         assert any(row["flag"] == "boundary" for row in rows)
+
+
+# the full '#' header of fixed runs, from the hand-written header dicts that
+# the parser echo replaced; CONFIGS stands for the bundled config directory.
+# With --pattern-out, its line now comes before the derived
+# concentration_* lines, in parser order
+HEADER_RUNS = {
+    "table1": ["table1"],
+    "pie-sweep": ["pie-sweep", "--scheme", "both"],
+    "link-model-both": ["link", "--model", "both"],
+    "receiver": ["receiver"],
+    "receiver-pattern-out": ["receiver", "--pattern-out", "pattern.txt"],
+}
+RECEIVER_HEADER = (
+    "# k = 3\n# target_bin = 0\n# energy = 1.0\n# loss = 1.0\n# phase_sigma = 0.0\n# seed = 0\n"
+    "# trials = 1000\n# n_b = 0.0\n# model = poisson\n"
+)
+PINNED_HEADERS = {
+    "table1.csv": (
+        "# rf_config = CONFIGS/table1_rf.cfg\n# optical_config = CONFIGS/table1_optical.cfg\n"
+        "# n_b_rf = 66.68\n# n_b_optical = 0.03\n"
+    ),
+    **{
+        f"pie-sweep_{scheme}.csv": (
+            f"# scheme = {scheme}\n# model = both\n# n_b = 0.1 0.01 0.001 0.0001\n# na_grid = 1e-06 0.1 26\n"
+        )
+        for scheme in (PPM, OOK)
+    },
+    "link-model-both.csv": (
+        "# config = CONFIGS/table1_optical.cfg\n# n_b = 0.01\n# model = both\n# schemes = ppm ook\n"
+        "# r_au_grid = 0.1 1000.0 29\n# noise_power_w = 2.6504280600000002e-12\n"
+    ),
+    "receiver.csv": RECEIVER_HEADER + "# concentration_mean = 1.0\n# concentration_std = 0.0\n",
+    "receiver-pattern-out.csv": (
+        RECEIVER_HEADER + "# pattern_out = pattern.txt\n# concentration_mean = 1.0\n# concentration_std = 0.0\n"
+    ),
+}
+
+
+def header_text(path):
+    return "".join(line for line in path.read_text(encoding="utf-8").splitlines(keepends=True) if line.startswith("#"))
+
+
+class TestHeader:
+    """The '#' header echoes every option but --out, then derived values."""
+
+    @pytest.mark.parametrize("name", sorted(HEADER_RUNS))
+    def test_header_is_pinned(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(HEADER_RUNS[name] + ["--out", f"{name}.csv"]) == 0
+        configs = str(resources.files("photonlink").joinpath("configs"))
+        files = sorted({f"{name}.csv", f"{name}_ook.csv", f"{name}_ppm.csv"} & set(PINNED_HEADERS))
+        assert files
+        for file in files:
+            want = f"# photonlink {__version__} {HEADER_RUNS[name][0]}\n" + PINNED_HEADERS[file]
+            assert header_text(tmp_path / file).replace(configs, "CONFIGS") == want, file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["pie-sweep", "--scheme", "ppm", "--na-grid", "1e-3", "1e-3", "1"],
+            ["link", "--r-au-grid", "1", "1", "1"],
+            ["receiver", "--pattern-out", "pattern.txt"],
+        ],
+    )
+    def test_every_option_but_out_is_echoed_in_parser_order(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = [a.dest for a in subparsers.choices[argv[0]]._actions if a.dest not in ("help", "out")]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", "t.csv"]) == 0
+        meta, _ = parse_table((tmp_path / "t.csv").read_text(encoding="utf-8"))
+        assert list(meta)[: len(options)] == options
+
+    @pytest.mark.parametrize("name", ["opt\nical.cfg", "optical.cfg\n", "opt\rical.cfg", "opt\u2028ical.cfg"])
+    @pytest.mark.parametrize("command, flag", [("link", "--config"), ("table1", "--optical-config")])
+    def test_config_path_with_a_line_break_is_refused(self, tmp_path, capsys, command, flag, name):
+        config = tmp_path / name
+        shutil.copy(cli._bundled_config("table1_optical.cfg"), config)
+        argv = [command, flag, str(config), "--out", str(tmp_path / "t.csv")]
+        if command == "link":
+            argv += ["--r-au-grid", "1", "1", "1", "--schemes", "ppm"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"photonlink {command}: error: {flag} {str(config)!r} holds a line break, which the header cannot echo\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize("name", ["pat\ntern.txt", "pattern.txt\n"])
+    def test_pattern_out_with_a_line_break_is_refused(self, tmp_path, capsys, name):
+        argv = ["receiver", "--pattern-out", str(tmp_path / name), "--out", str(tmp_path / "rx.csv")]
+        assert cli.main(argv) == 2
+        assert "--pattern-out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def data_lines(path):
