@@ -10,9 +10,7 @@ from .capacity import (
     shannon_pie_asymptote,
 )
 from .linkbudget import (
-    CODATA_CONSTANTS,
-    DEFAULT_CONSTANTS,
-    Constants,
+    AU_M,
     LinkConfigError,
     LinkParams,
     channel_transmission,
@@ -64,9 +62,7 @@ __all__ = [
     "ModulationOptimum",
     "optimize_M",
     "sweep_pie",
-    "Constants",
-    "DEFAULT_CONSTANTS",
-    "CODATA_CONSTANTS",
+    "AU_M",
     "LinkParams",
     "LinkConfigError",
     "load_link_params",

@@ -18,7 +18,8 @@ the same arguments the data section is byte-identical between runs.  Only
 a table whose columns are all float64 arrays or a ``range`` is built as
 bytes; any other is joined as ``str``.  Exit codes: 0 success, 1 a
 computational flag was raised (optimizer hit the search bound), 2 usage or
-config errors, among them an option whose text holds a line break.
+config errors, among them an option whose text holds a line break; a run
+that exits 2 removes every file it created.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from .floatfmt import format_bytes, format_ints
 from .linkbudget import (
-    DEFAULT_CONSTANTS,
+    AU_M,
     REFERENCE_REGIMES,
     _distance_sweep,
     load_link_params,
@@ -65,6 +67,9 @@ MAX_GRID_POINTS = 10**6
 _BLOCK_ROWS = 8192
 # distinct floats of a block from which the byte path beats str
 _VECTOR_MIN = 1000
+
+# the files the running command created; main removes them if it fails
+_created: list[str] = []
 
 SEPARATION_NOTE = (
     "note: consecutive codebook patterns must be separated by at least one "
@@ -138,13 +143,8 @@ def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.nda
         lengths.append(length)
         cell[:, i] = np.arange(size, size + n_rows)
         size += n_rows
-    # every text row ends in NUL, where its separator goes
-    width = max(text.shape[1] for text in texts)
-    pool = np.zeros((size, width), dtype=np.uint8)
-    start = 0
-    for text in texts:
-        pool[start : start + len(text), : text.shape[1]] = text
-        start += len(text)
+    # every text row is as wide and ends in NUL, where its separator goes
+    pool = np.concatenate(texts)
     separator = np.full(size, ord(","), dtype=np.uint8)
     separator[cell[:, -1]] = ord("\n")
     pool[np.arange(size), np.concatenate(lengths)] = separator
@@ -178,7 +178,7 @@ def _write_table(
     lines.append(",".join(table))
     with contextlib.ExitStack() as stack:
         if out_path is not None:
-            write = stack.enter_context(open(out_path, "wb")).write
+            write = stack.enter_context(open(_create(out_path), "wb")).write
         elif hasattr(sys.stdout, "buffer"):
             # what was written as text goes first
             sys.stdout.flush()
@@ -189,6 +189,13 @@ def _write_table(
         write(("\n".join(lines) + "\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
             write(_block_bytes(columns, slice(start, start + _BLOCK_ROWS)))
+
+
+def _create(path: str) -> str:
+    """``path``, noted among the files this run created unless a file is there already."""
+    if not os.path.lexists(path):
+        _created.append(path)
+    return path
 
 
 def _echo(args: argparse.Namespace, **derived: object) -> dict[str, str]:
@@ -281,7 +288,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     lp = load_link_params(args.config)
     r_grid_au = _log_grid(*args.r_au_grid)
     with np.errstate(over="ignore"):
-        r_grid_m = r_grid_au * DEFAULT_CONSTANTS.au_m
+        r_grid_m = r_grid_au * AU_M
     far = np.isinf(r_grid_m)
     if far.any():
         raise ValueError(f"distance {r_grid_au[far.argmax()].item()!r} AU overflows in metres")
@@ -355,7 +362,7 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     table = {"bin": range(pattern.n_bins), **dict(zip(names, columns))}
     params = _echo(args, concentration_mean=mean, concentration_std=std)
     if args.pattern_out is not None:
-        save_pattern(args.pattern_out, pattern)
+        save_pattern(_create(args.pattern_out), pattern)
     print(SEPARATION_NOTE, file=sys.stderr)
     _write_table(args.out, "receiver", params, table)
     return 0
@@ -429,9 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _created.clear()
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
+        # a failed run leaves none of the files it created
+        for path in _created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         print(f"photonlink {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

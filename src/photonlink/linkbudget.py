@@ -8,9 +8,9 @@ and the detected signal photon number per bin of duration 1/B is
 
     n_a = eta_det * eta_ch * P / (h f_c B).
 
-``DEFAULT_CONSTANTS`` uses the rounded c and astronomical unit that
-published link tables for the reference regimes below are based on;
-``CODATA_CONSTANTS`` switches to the exact defined values.
+The budget uses one set of constants: the rounded c = 3e8 m/s and
+astronomical unit ``AU_M`` = 1.49e11 m that the published link tables for
+the reference regimes below are based on, and the exact h.
 
 One call of ``_distance_sweep`` lays out a whole table: the distances,
 under every noise model it lists, share one batched M search per scheme
@@ -31,17 +31,11 @@ from .noise import NoiseModel
 from .optimize import FLAG_FAILED, _maximize
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants used in the budget (SI units)."""
-
-    h: float = 6.62607015e-34
-    c: float = 3e8
-    au_m: float = 1.49e11
-
-
-DEFAULT_CONSTANTS = Constants()
-CODATA_CONSTANTS = Constants(c=299792458.0, au_m=1.495978707e11)
+# Planck's constant (J s) and the speed of light (m/s)
+_H = 6.62607015e-34
+_C = 3e8
+# the astronomical unit in metres
+AU_M = 1.49e11
 
 CONFIG_KEYS = (
     "f_c_hz",
@@ -114,55 +108,45 @@ def load_link_params(path: str) -> LinkParams:
         raise LinkConfigError(f"{path}: {exc}") from None
 
 
-def _transmission(lp: LinkParams, distance_m, constants: Constants):
+def _transmission(lp: LinkParams, distance_m):
     # eta_ch at ``distance_m``, a float or an array of distances
-    amplitude = math.pi * lp.d_t_m * lp.d_r_m * lp.f_c_hz / (4.0 * constants.c * distance_m)
+    amplitude = math.pi * lp.d_t_m * lp.d_r_m * lp.f_c_hz / (4.0 * _C * distance_m)
     return amplitude * amplitude
 
 
-def _photon_number(lp: LinkParams, eta_ch, constants: Constants):
-    return lp.eta_det * eta_ch * lp.power_w / (constants.h * lp.f_c_hz * lp.bandwidth_hz)
+def _photon_number(lp: LinkParams, eta_ch):
+    return lp.eta_det * eta_ch * lp.power_w / (_H * lp.f_c_hz * lp.bandwidth_hz)
 
 
-def _peak_power(m_star, n_a, lp: LinkParams, eta_ch, constants: Constants):
-    return m_star * n_a * constants.h * lp.f_c_hz * lp.bandwidth_hz / (lp.eta_det * eta_ch)
+def _peak_power(m_star, n_a, lp: LinkParams, eta_ch):
+    return m_star * n_a * _H * lp.f_c_hz * lp.bandwidth_hz / (lp.eta_det * eta_ch)
 
 
-def channel_transmission(lp: LinkParams, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def channel_transmission(lp: LinkParams) -> float:
     """Power transmission eta_ch of the diffraction-limited channel."""
-    return _transmission(lp, lp.distance_m, constants)
+    return _transmission(lp, lp.distance_m)
 
 
-def received_photon_number(lp: LinkParams, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def received_photon_number(lp: LinkParams) -> float:
     """Detected signal photons per bin, n_a = eta_det eta_ch P / (h f_c B)."""
-    return _photon_number(lp, channel_transmission(lp, constants), constants)
+    return _photon_number(lp, channel_transmission(lp))
 
 
-def noise_power_watts(
-    n_b: float,
-    f_c_hz: float,
-    bandwidth_hz: float,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> float:
+def noise_power_watts(n_b: float, f_c_hz: float, bandwidth_hz: float) -> float:
     """Detected background power corresponding to n_b photons per bin."""
     if not math.isfinite(n_b) or n_b < 0.0:
         raise ValueError(f"n_b must be finite and >= 0, got {n_b!r}")
     # + 0.0 turns a background of -0.0 into 0.0
-    return (n_b + 0.0) * constants.h * f_c_hz * bandwidth_hz
+    return (n_b + 0.0) * _H * f_c_hz * bandwidth_hz
 
 
-def transmitter_peak_power(
-    m_star: float,
-    n_a: float,
-    lp: LinkParams,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> float:
+def transmitter_peak_power(m_star: float, n_a: float, lp: LinkParams) -> float:
     """Transmitter peak power that delivers pulses of energy m_star * n_a.
 
     Equals m_star * P_avg for a transmitter of average power P_avg, since
     the duty cycle is 1 / m_star.
     """
-    return _peak_power(m_star, n_a, lp, channel_transmission(lp, constants), constants)
+    return _peak_power(m_star, n_a, lp, channel_transmission(lp))
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,6 @@ def _distance_sweep(
     n_b: float,
     schemes: Sequence[str],
     r_grid_m: Sequence[float],
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> dict[str, np.ndarray]:
     """Optimized data rate and peak power of each scheme over a (kind,
     distance) grid, searched in one batch per scheme by optimize._maximize,
@@ -215,8 +198,8 @@ def _distance_sweep(
     # eta_ch and n_a overflow to inf at a tiny distance; the search then
     # fails that point
     with np.errstate(over="ignore"):
-        eta_ch = _transmission(lp_template, r_m, constants)
-        n_a = _photon_number(lp_template, eta_ch, constants)
+        eta_ch = _transmission(lp_template, r_m)
+        n_a = _photon_number(lp_template, eta_ch)
     # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
     n_b = np.full_like(n_a, n_b + 0.0)
     columns = {"distance_m": r_m, "n_a": n_a, "n_b": n_b, "model": np.repeat(kinds, points)}
@@ -224,7 +207,7 @@ def _distance_sweep(
         m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
         columns[f"m_star_{scheme}"] = m_star
         columns[f"rate_{scheme}_bps"] = mi * lp_template.bandwidth_hz
-        columns[f"peak_power_{scheme}_w"] = _peak_power(m_star, n_a, lp_template, eta_ch, constants)
+        columns[f"peak_power_{scheme}_w"] = _peak_power(m_star, n_a, lp_template, eta_ch)
         columns[f"flag_{scheme}"] = flag
     # the reference rates depend on (n_a, n_b) alone, which every kind
     # shares; NaN where the search found n_a without an optimum
@@ -245,7 +228,6 @@ def rate_vs_distance(
     noise: NoiseModel,
     scheme: str,
     r_grid_m: Sequence[float],
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[DistanceRow]:
     """Optimized data rate and peak power across a grid of link distances.
 
@@ -255,7 +237,7 @@ def rate_vs_distance(
     optimum flags its row instead of aborting.  A distance whose n_a has no
     optimum raises ValueError naming it in metres.
     """
-    columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, [scheme], r_grid_m, constants)
+    columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, [scheme], r_grid_m)
     failed = columns[f"flag_{scheme}"] == FLAG_FAILED
     if failed.any():
         i = failed.argmax()
@@ -273,7 +255,6 @@ def rate_vs_distance(
 class RegimeReference:
     """Published reference values for one operating regime (for regression)."""
 
-    name: str
     n_b: float
     eta_ch: float
     n_a: float
@@ -283,7 +264,6 @@ class RegimeReference:
 
 REFERENCE_REGIMES = {
     "rf": RegimeReference(
-        name="rf",
         n_b=66.68,
         eta_ch=3.29e-15,
         n_a=1.08,
@@ -291,7 +271,6 @@ REFERENCE_REGIMES = {
         holevo_rate_bps=11.5e6,
     ),
     "optical": RegimeReference(
-        name="optical",
         n_b=0.03,
         eta_ch=8.32e-11,
         n_a=0.03,
@@ -301,12 +280,10 @@ REFERENCE_REGIMES = {
 }
 
 
-def regime_summary(
-    lp: LinkParams, n_b: float, constants: Constants = DEFAULT_CONSTANTS
-) -> dict[str, float]:
+def regime_summary(lp: LinkParams, n_b: float) -> dict[str, float]:
     """Derived quantities for one regime: eta_ch, n_a and the two capacities."""
-    eta_ch = channel_transmission(lp, constants)
-    n_a = received_photon_number(lp, constants)
+    eta_ch = channel_transmission(lp)
+    n_a = _photon_number(lp, eta_ch)
     pn = PhotonNumbers(n_a, n_b)
     return {
         "eta_ch": eta_ch,

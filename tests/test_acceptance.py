@@ -13,7 +13,7 @@ import pytest
 
 from photonlink.capacity import holevo_pie_asymptote, shannon_pie_asymptote
 from photonlink.linkbudget import (
-    DEFAULT_CONSTANTS,
+    AU_M,
     load_link_params,
     noise_power_watts,
     rate_vs_distance,
@@ -152,7 +152,7 @@ def test_c04_scaling_laws():
 
     # (c) rate falls as R^-2 for OOK and R^-4 for PPM in the far zone
     lp = load_link_params(optical_config_path())
-    r_grid = np.geomspace(30.0, 100.0, 13) * DEFAULT_CONSTANTS.au_m
+    r_grid = np.geomspace(30.0, 100.0, 13) * AU_M
     expected = {OOK: -2.0, PPM: -4.0}
     for scheme, target in expected.items():
         rows = rate_vs_distance(lp, model, scheme, r_grid)
@@ -169,7 +169,7 @@ def test_c04_scaling_laws():
 def test_c05_ook_rate_gain_over_ppm_near_tenfold():
     lp = load_link_params(optical_config_path())
     noise = poissonian(1e-2)
-    r = np.array([10.0 * DEFAULT_CONSTANTS.au_m])
+    r = np.array([10.0 * AU_M])
     rate = {
         scheme: rate_vs_distance(lp, noise, scheme, r)[0].rate_bps
         for scheme in (OOK, PPM)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
+from photonlink.linkbudget import AU_M, load_link_params, rate_vs_distance
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import MODEL_KINDS, NoiseModel, _click_params, _click_probs, click_probs
 from photonlink.optimize import OOK, PPM, SCHEMES, _sweep, optimize_M, sweep_pie
@@ -157,7 +157,7 @@ CONFIGS = [
 def test_link_rows_equal_single_optimizations(scheme, kind, config, n_b, r_au):
     lp = load_link_params(config)
     model = NoiseModel(kind, n_b)
-    rows = rate_vs_distance(lp, model, scheme, [r * DEFAULT_CONSTANTS.au_m for r in r_au])
+    rows = rate_vs_distance(lp, model, scheme, [r * AU_M for r in r_au])
     assert len(rows) == len(r_au)
     for row in rows:
         opt = optimize_M(row.n_a, model, scheme)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from photonlink import __version__, capacity, cli, optimize
-from photonlink.linkbudget import DEFAULT_CONSTANTS, load_link_params, rate_vs_distance
+from photonlink.linkbudget import AU_M, load_link_params, rate_vs_distance
 from photonlink.noise import NoiseModel, poissonian
 from photonlink.optimize import OOK, PPM
 from photonlink.receiver import (
@@ -568,7 +568,7 @@ class TestOneSearchPerScheme:
 
     def test_rate_vs_distance_searches_its_grid_at_once(self, searches):
         lp = load_link_params(RF_CONFIG)
-        r_grid_m = np.geomspace(0.1, 1e4, 5) * DEFAULT_CONSTANTS.au_m
+        r_grid_m = np.geomspace(0.1, 1e4, 5) * AU_M
         assert len(rate_vs_distance(lp, poissonian(66.68), PPM, r_grid_m)) == 5
         assert searches == [5]
 
@@ -742,6 +742,14 @@ class TestPieSweep:
             )
             assert meta["scheme"] == scheme
             assert len(rows) == 2  # both models by default
+
+    def test_unwritable_second_file_removes_the_first(self, tmp_path, capsys):
+        # the ook file cannot be opened, after the ppm file was written
+        (tmp_path / "sweep_ook.csv").mkdir()
+        argv = ["pie-sweep", "--na-grid", "1e-3", "1e-3", "1", "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 2
+        assert "sweep_ook.csv" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep_ook.csv"]
 
     def test_search_bound_hit_sets_exit_code(self, tmp_path):
         # noiseless vanishing signal pushes m_star to the search bound
@@ -940,7 +948,7 @@ class TestLink:
         # the CLI writes floats with repr, so the round trip is exact
         config = str(resources.files("photonlink").joinpath("configs/table1_optical.cfg"))
         lp = load_link_params(config)
-        r_m = [10.0 * DEFAULT_CONSTANTS.au_m]
+        r_m = [10.0 * AU_M]
         for scheme in (OOK, PPM):
             expected = rate_vs_distance(lp, poissonian(1e-2), scheme, r_m)[0].rate_bps
             assert float(row[f"rate_{scheme}_bps"]) == expected
@@ -1039,7 +1047,7 @@ class TestLink:
         )
         assert code == 0
         lp = load_link_params(str(resources.files("photonlink").joinpath("configs/table1_optical.cfg")))
-        r_m = np.geomspace(0.1, 1e3, 9) * DEFAULT_CONSTANTS.au_m
+        r_m = np.geomspace(0.1, 1e3, 9) * AU_M
         assert len(rows) == 18
         for k, kind in enumerate(("poisson", "gauss")):
             table = rows[9 * k : 9 * (k + 1)]
@@ -1047,7 +1055,7 @@ class TestLink:
             for scheme in (PPM, OOK):
                 expected = rate_vs_distance(lp, NoiseModel(kind, 1e-2), scheme, r_m)
                 for row, want in zip(table, expected):
-                    assert float(row["r_au"]) * DEFAULT_CONSTANTS.au_m == want.distance_m
+                    assert float(row["r_au"]) * AU_M == want.distance_m
                     assert float(row["n_a"]) == want.n_a
                     assert float(row[f"rate_{scheme}_bps"]) == want.rate_bps
                     assert float(row[f"peak_power_{scheme}_w"]) == want.peak_power_w
@@ -1188,6 +1196,21 @@ class TestReceiverCommand:
         assert code == 0
         loaded = load_pattern(str(pattern_path))
         assert np.array_equal(loaded.amps, make_pattern(2, 3, 1.0).amps)
+
+    def test_unwritable_table_removes_the_pattern_file(self, tmp_path, capsys):
+        argv = ["receiver", "--pattern-out", str(tmp_path / "p.txt"), "--out", str(tmp_path / "nodir" / "rx.csv")]
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_a_file_it_did_not_create(self, tmp_path, capsys):
+        # the pattern overwrites a file that was there, which stays
+        pattern_path = tmp_path / "p.txt"
+        pattern_path.write_text("old\n", encoding="utf-8")
+        argv = ["receiver", "--pattern-out", str(pattern_path), "--out", str(tmp_path / "nodir" / "rx.csv")]
+        assert cli.main(argv) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["p.txt"]
+        assert load_pattern(str(pattern_path)).n_bins == 8
 
     def test_oversized_k_is_refused(self, tmp_path, capsys):
         code = cli.main(["receiver", "--k", "17", "--out", str(tmp_path / "rx.csv")])

@@ -1,5 +1,7 @@
 """The package's public names: every exported name exists, once."""
 
+import inspect
+
 import photonlink
 
 
@@ -16,3 +18,16 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from photonlink import *", namespace)
     assert set(photonlink.__all__) <= namespace.keys()
+
+
+def test_the_link_budget_constants_are_not_a_choice():
+    # one set of constants: no preset is exported and no function takes one
+    assert not {"Constants", "DEFAULT_CONSTANTS", "CODATA_CONSTANTS"} & set(dir(photonlink))
+    takes_constants = [
+        name
+        for name in photonlink.__all__
+        if callable(obj := getattr(photonlink, name))
+        and not isinstance(obj, type)
+        and "constants" in inspect.signature(obj).parameters
+    ]
+    assert takes_constants == []
