@@ -1,7 +1,6 @@
 """Efficiency limits and receiver modelling for photon-starved optical links."""
 
 from .capacity import (
-    PhotonNumbers,
     g,
     holevo_capacity,
     holevo_pie_asymptote,
@@ -43,7 +42,6 @@ from .receiver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhotonNumbers",
     "g",
     "shannon_capacity",
     "holevo_capacity",

@@ -8,7 +8,6 @@ number per mode ``n_a`` and the mean background photon number per mode
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 LOG2_E = math.log2(math.e)
 
@@ -18,18 +17,10 @@ def _log2_1p(u: float) -> float:
     return math.log1p(u) * LOG2_E
 
 
-@dataclass(frozen=True)
-class PhotonNumbers:
-    """Mean detected photon numbers per mode: ``n_a`` signal, ``n_b`` background."""
-
-    n_a: float
-    n_b: float
-
-    def __post_init__(self) -> None:
-        for name in ("n_a", "n_b"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def _check_photon_numbers(n_a: float, n_b: float) -> None:
+    for name, value in (("n_a", n_a), ("n_b", n_b)):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def g(x: float) -> float:
@@ -49,9 +40,10 @@ def g(x: float) -> float:
     return (math.log1p(x) + tail) * LOG2_E
 
 
-def shannon_capacity(pn: PhotonNumbers) -> float:
+def shannon_capacity(n_a: float, n_b: float) -> float:
     """Shannon capacity log2(1 + n_a / (n_b + 1)) of the quadrature channel."""
-    return _log2_1p(pn.n_a / (pn.n_b + 1.0))
+    _check_photon_numbers(n_a, n_b)
+    return _log2_1p(n_a / (n_b + 1.0))
 
 
 def _scaled_h(x: float, a: float) -> float:
@@ -61,7 +53,7 @@ def _scaled_h(x: float, a: float) -> float:
     return a if math.isinf(t) else x * (t - math.log1p(t))
 
 
-def holevo_capacity(pn: PhotonNumbers) -> float:
+def holevo_capacity(n_a: float, n_b: float) -> float:
     """Holevo capacity g(n_a + n_b) - g(n_b), the quantum limit per mode.
 
     Formed without subtracting the two entropies, which cancel when
@@ -74,7 +66,7 @@ def holevo_capacity(pn: PhotonNumbers) -> float:
     log1p(n_a/x) is written log n_a - log x + log1p(x/n_a) instead, and
     the x log x terms make g(n_b) in its own cancellation-free form.
     """
-    n_a, n_b = pn.n_a, pn.n_b
+    _check_photon_numbers(n_a, n_b)
     if n_a == 0.0:
         return 0.0
     nats = n_a * math.log1p(1.0 / (n_a + n_b))

@@ -47,7 +47,7 @@ from .linkbudget import (
     regime_summary,
 )
 from .noise import GAUSS, POISSON, NoiseModel, _click_probs
-from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _sweep
+from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _searchable, _sweep
 from .receiver import (
     ReceiverConfig,
     apply_receiver,
@@ -300,16 +300,20 @@ def cmd_link(args: argparse.Namespace) -> int:
 
     # one search per scheme over every model
     columns = _distance_sweep(lp, kinds, args.n_b, schemes, r_grid_m)
-    # whether n_a has an optimum depends on n_a alone, not on scheme or model
-    failed = columns[f"flag_{schemes[0]}"] == FLAG_FAILED
+    # a distance fails if any scheme or model does: where the information
+    # per bin underflows depends on both
+    flags = np.array([columns[f"flag_{scheme}"] for scheme in schemes])
+    failed = (flags.reshape(-1, len(r_grid_au)) == FLAG_FAILED).any(axis=0)
     if failed.any():
         i = failed.argmax()
         n_a = columns["n_a"][i].item()
-        reason = (
-            "too far: n_a underflows to 0" if n_a == 0.0
-            else f"too near: pulse energy n_a * m_max overflows at n_a = {n_a!r}"
-        )
-        raise ValueError(f"distance {r_grid_au[i % len(r_grid_au)].item()!r} AU is {reason}")
+        if n_a == 0.0:
+            reason = "too far: n_a underflows to 0"
+        elif not _searchable(n_a):
+            reason = f"too near: pulse energy n_a * m_max overflows at n_a = {n_a!r}"
+        else:
+            reason = f"too far: the information per bin underflows at n_a = {n_a!r}"
+        raise ValueError(f"distance {r_grid_au[i].item()!r} AU is {reason}")
     table = {
         "model": columns["model"].tolist(),
         "r_au": np.tile(r_grid_au, len(kinds)).tolist(),

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import PhotonNumbers, holevo_capacity, shannon_capacity
+from .capacity import holevo_capacity, shannon_capacity
 from .noise import NoiseModel
-from .optimize import FLAG_FAILED, _maximize
+from .optimize import FLAG_FAILED, _maximize, _searchable
 
 
 # Planck's constant (J s) and the speed of light (m/s)
@@ -181,12 +181,13 @@ def _distance_sweep(
     ``n_a`` and ``n_b`` and the str array ``model``; for each scheme s,
     float64 arrays ``m_star_<s>``, ``rate_<s>_bps`` and
     ``peak_power_<s>_w`` and the str array ``flag_<s>``, "boundary" where
-    the optimum sits on the search bound, "failed" where n_a has no optimum
-    (n_a <= 0, or n_a * m_max not finite; m_star, rate and peak power are
-    NaN there) and "ok" elsewhere; then float64 arrays
-    ``shannon_rate_bps`` and ``holevo_rate_bps``, NaN where n_a has no
-    optimum.  A distance that is not finite and > 0 raises ValueError
-    naming it as a float.
+    the optimum sits on the search bound, "failed" where the point has no
+    optimum (n_a <= 0, n_a * m_max not finite, or an information per bin
+    that underflows; m_star, rate and peak power are NaN there) and "ok"
+    elsewhere; then float64 arrays ``shannon_rate_bps`` and
+    ``holevo_rate_bps``, NaN where n_a <= 0 or n_a * m_max is not finite.
+    A distance that is not finite and > 0 raises ValueError naming it as a
+    float.
     """
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
@@ -201,23 +202,22 @@ def _distance_sweep(
         eta_ch = _transmission(lp_template, r_m)
         n_a = _photon_number(lp_template, eta_ch)
     # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
-    n_b = np.full_like(n_a, n_b + 0.0)
-    columns = {"distance_m": r_m, "n_a": n_a, "n_b": n_b, "model": np.repeat(kinds, points)}
+    n_b += 0.0
+    columns = {"distance_m": r_m, "n_a": n_a, "n_b": np.full_like(n_a, n_b), "model": np.repeat(kinds, points)}
     for scheme in schemes:
-        m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme)
+        m_star, mi, flag = _maximize(n_a[:points], columns["n_b"][:points], kinds, scheme)
         columns[f"m_star_{scheme}"] = m_star
         columns[f"rate_{scheme}_bps"] = mi * lp_template.bandwidth_hz
         columns[f"peak_power_{scheme}_w"] = _peak_power(m_star, n_a, lp_template, eta_ch)
         columns[f"flag_{scheme}"] = flag
     # the reference rates depend on (n_a, n_b) alone, which every kind
-    # shares; NaN where the search found n_a without an optimum
+    # shares; NaN where n_a is not searchable
     bandwidth = lp_template.bandwidth_hz
     shannon, holevo = [math.nan] * points, [math.nan] * points
-    for i, (n_a_i, n_b_i, flag_i) in enumerate(zip(n_a[:points].tolist(), n_b.tolist(), flag.tolist())):
-        if flag_i != FLAG_FAILED:
-            pn = PhotonNumbers(n_a_i, n_b_i)
-            shannon[i] = shannon_capacity(pn) * bandwidth
-            holevo[i] = holevo_capacity(pn) * bandwidth
+    for i, (n_a_i, searchable) in enumerate(zip(n_a[:points].tolist(), _searchable(n_a[:points]).tolist())):
+        if searchable:
+            shannon[i] = shannon_capacity(n_a_i, n_b) * bandwidth
+            holevo[i] = holevo_capacity(n_a_i, n_b) * bandwidth
     columns["shannon_rate_bps"] = np.array(shannon * len(kinds))
     columns["holevo_rate_bps"] = np.array(holevo * len(kinds))
     return columns
@@ -284,10 +284,9 @@ def regime_summary(lp: LinkParams, n_b: float) -> dict[str, float]:
     """Derived quantities for one regime: eta_ch, n_a and the two capacities."""
     eta_ch = channel_transmission(lp)
     n_a = _photon_number(lp, eta_ch)
-    pn = PhotonNumbers(n_a, n_b)
     return {
         "eta_ch": eta_ch,
         "n_a": n_a,
-        "shannon_rate_bps": shannon_capacity(pn) * lp.bandwidth_hz,
-        "holevo_rate_bps": holevo_capacity(pn) * lp.bandwidth_hz,
+        "shannon_rate_bps": shannon_capacity(n_a, n_b) * lp.bandwidth_hz,
+        "holevo_rate_bps": holevo_capacity(n_a, n_b) * lp.bandwidth_hz,
     }

@@ -64,6 +64,14 @@ _CURVE = 0.03
 _FINE = 0.49 * _TOL
 # points searched together; bounds the (points x grid) temporaries
 _BLOCK_POINTS = 64
+# the upper end of the M search where a caller sets none
+_M_MAX = 1e9
+# below this information per bin an optimum is failed: the value has
+# underflowed or lost its digits, so every M scores alike.  Against
+# 900-digit mpmath, OOK at n_b = 0 errs by 5.5e-8 relative just above the
+# smallest normal float 2.2e-308, 9.6e-12 at 2.2e-304 and 7.5e-16 at
+# 2.2e-300; PPM, and OOK at n_b > 0, keep 1e-15 down to 2.2e-308
+_MI_FLOOR = 1e-300
 
 FLAG_OK = "ok"
 FLAG_BOUNDARY = "boundary"
@@ -106,6 +114,13 @@ def _scan(scheme: str, m_max: float) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _searchable(n_a, m_max=_M_MAX):
+    """Where n_a, a float or an array, is > 0 and the pulse energy
+    n_a * m_max is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (n_a > 0.0) & np.isfinite(n_a * m_max)
+
+
 def _vertex(tri, span):
     """Vertex of the parabola through each row's triple, and the spacing of
     the probes around it.
@@ -129,7 +144,7 @@ def _vertex(tri, span):
     return 0.5 * (tri[0, :, 1] + tri[0, :, 2] + span * down / q), spacing
 
 
-def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=1e9):
+def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=_M_MAX):
     """Maximize mutual information per bin over M at every point of a grid
     (n_a[i], n_b[i]) under each noise kind of ``kinds`` in turn.
 
@@ -161,9 +176,11 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=1e9):
     Returns:
         (m_star, mi_per_bin, flag) arrays, one entry per point under each
         kind in turn.  ``flag`` is "failed" where n_a is not > 0 or
-        n_a * m_max is not finite, and m_star and mi_per_bin are NaN there;
-        else "boundary" where the objective rises from the next-to-last
-        grid point to the last; else "ok".
+        n_a * m_max is not finite (``_searchable``), or where the best
+        information per bin is below ``_MI_FLOOR`` while p_b < 1 (where
+        p_b rounds to 1, 0 is the right limit); m_star and mi_per_bin are
+        NaN there.  Else it is "boundary" where the objective rises from the
+        next-to-last grid point to the last; else "ok".
     """
     for kind in kinds:
         if kind not in MODEL_KINDS:
@@ -182,8 +199,7 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=1e9):
     mi = _MI[scheme]
     m_first, near_x, near_col = _scan(scheme, m_max)
     last = len(near_x) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        failed = ~((n_a > 0.0) & np.isfinite(n_a * m_max))
+    failed = ~_searchable(n_a, m_max)
     n_a = np.where(failed, 1.0, n_a)
     m_star, mi_star, at_boundary = np.empty_like(n_a), np.empty_like(n_a), np.empty(n_a.shape, bool)
 
@@ -236,6 +252,7 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=1e9):
                     break  # no round follows, so no vertex is needed
                 vertex, spacing = _vertex(tri, span)
         m_star[block], mi_star[block] = m_best, mi_best
+    failed |= (mi_star < _MI_FLOOR) & (clicks[0] < 1.0)
     m_star[failed] = mi_star[failed] = np.nan
     return m_star, mi_star, _FLAG_TEXT[np.where(failed, 2, at_boundary)]
 
@@ -245,7 +262,7 @@ def _sweep(
     n_b_list: Sequence[float],
     kinds: Sequence[str],
     scheme: str,
-    m_max: float = 1e9,
+    m_max: float = _M_MAX,
 ) -> dict[str, np.ndarray]:
     """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
     batch by ``_maximize``, which checks the kinds, the backgrounds, the
@@ -277,7 +294,7 @@ def _sweep(
     }
 
 
-def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -> ModulationOptimum:
+def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX) -> ModulationOptimum:
     """Maximize mutual information per bin over the modulation parameter M.
 
     The first evaluation scans M = m_min and part of a 240-point
@@ -296,12 +313,18 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = 1e9) -
         ModulationOptimum; ``at_boundary`` is set when the objective rises
         from the next-to-last coarse grid point to the last, m_max, meaning
         the range should be widened.
+
+    Raises:
+        ValueError: where n_a has no optimum, since n_a * m_max overflows
+            or the information per bin underflows (see ``_maximize``).
     """
     if not math.isfinite(n_a) or n_a <= 0.0:
         raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
     m_star, mi, flag = _maximize(np.array([n_a]), np.array([model.n_b]), (model.kind,), scheme, m_max)
     if flag[0] == FLAG_FAILED:
-        raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
+        if not _searchable(n_a, m_max):
+            raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
+        raise ValueError(f"the information per bin underflows at n_a = {n_a!r}")
     m, value = float(m_star[0]), float(mi[0])
     return ModulationOptimum(m, value / n_a, value, m * n_a, flag[0] == FLAG_BOUNDARY)
 
@@ -311,7 +334,7 @@ def sweep_pie(
     n_b_list: Sequence[float],
     model_kind: str,
     scheme: str,
-    m_max: float = 1e9,
+    m_max: float = _M_MAX,
 ) -> dict[str, np.ndarray]:
     """Optimized efficiency over an (n_b, n_a) grid, searched in one batch.
 

@@ -11,6 +11,7 @@ import mpmath as mp
 
 M_MIN = {"ppm": 2.0, "ook": 1.0}
 DIGITS = 50
+PRECISIONS = (60, 120, 240, 480, 960)
 
 
 def _xlogx(x):
@@ -44,13 +45,17 @@ def _closed_form(scheme, kind, m, n_a, n_b):
 
 
 def mi_per_bin(scheme, kind, m, n_a, n_b):
-    """Mutual information per bin in bits, correct to ``DIGITS`` digits."""
+    """Mutual information per bin in bits, correct to ``DIGITS`` digits.
+
+    Below about 1e-60 the closed form cancels to 0 until the precision
+    covers its value, so a 0 is only taken from the last two precisions."""
     previous = None
-    for dps in (60, 120, 240, 480, 960):
+    for dps in PRECISIONS:
         with mp.workdps(dps):
             value = _closed_form(scheme, kind, m, n_a, n_b)
             if previous is not None and abs(value - previous) <= abs(value) * mp.mpf(10) ** -DIGITS:
-                return +value
+                if value != 0 or dps == PRECISIONS[-1]:
+                    return +value
             previous = value
     raise ArithmeticError(f"no {DIGITS}-digit value for {(scheme, kind, m, n_a, n_b)}")
 

@@ -1,6 +1,7 @@
 """Tests for the capacity formulas and the photon-information-efficiency views."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from photonlink.capacity import (
     LOG2_E,
-    PhotonNumbers,
     g,
     holevo_capacity,
     holevo_pie_asymptote,
@@ -26,30 +26,30 @@ LOG2_101 = 6.658211482751795
 LOG2E_OVER_11_10 = 1.311540946262694
 
 # quoted regime figures the per-bin capacities must reproduce (rounded
-# sources, hence the loose 5% window)
+# sources, hence the loose 5% window); photon numbers are (n_a, n_b)
 RF_BANDWIDTH_HZ = 0.5e9
-RF_PHOTONS = PhotonNumbers(n_a=1.08, n_b=66.68)
+RF_PHOTONS = (1.08, 66.68)
 OPTICAL_BANDWIDTH_HZ = 2e9
-OPTICAL_PHOTONS = PhotonNumbers(n_a=0.03, n_b=0.03)
+OPTICAL_PHOTONS = (0.03, 0.03)
 
 finite_photon_numbers = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
 
 
-class TestPhotonNumbers:
-    """Input validation of the (n_a, n_b) pair."""
+@pytest.mark.parametrize("capacity", [shannon_capacity, holevo_capacity])
+class TestPhotonNumberChecks:
+    """Both capacities check their (n_a, n_b) arguments."""
 
-    def test_accepts_zero(self):
-        pn = PhotonNumbers(0.0, 0.0)
-        assert pn.n_a == 0.0 and pn.n_b == 0.0
+    def test_accepts_zero(self, capacity):
+        assert capacity(0.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["n_a", "n_b"])
-    def test_rejects_invalid(self, field, bad):
+    def test_rejects_invalid(self, capacity, field, bad):
         kwargs = {"n_a": 0.1, "n_b": 0.1, field: bad}
-        with pytest.raises(ValueError):
-            PhotonNumbers(**kwargs)
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite and >= 0, got {bad!r}")):
+            capacity(**kwargs)
 
 
 class TestG:
@@ -127,43 +127,41 @@ class TestGAgainstMpmath:
 
 class TestShannonCapacity:
     def test_zero_signal(self):
-        assert shannon_capacity(PhotonNumbers(0.0, 5.0)) == 0.0
+        assert shannon_capacity(0.0, 5.0) == 0.0
 
     def test_closed_form(self):
-        pn = PhotonNumbers(0.2, 0.3)
         assert math.isclose(
-            shannon_capacity(pn), math.log2(1.0 + 0.2 / 1.3), rel_tol=1e-14
+            shannon_capacity(0.2, 0.3), math.log2(1.0 + 0.2 / 1.3), rel_tol=1e-14
         )
 
     def test_rf_regime_rate(self):
-        rate = shannon_capacity(RF_PHOTONS) * RF_BANDWIDTH_HZ
+        rate = shannon_capacity(*RF_PHOTONS) * RF_BANDWIDTH_HZ
         assert abs(rate - 11.4e6) / 11.4e6 < 0.05
 
     def test_optical_regime_rate(self):
-        rate = shannon_capacity(OPTICAL_PHOTONS) * OPTICAL_BANDWIDTH_HZ
+        rate = shannon_capacity(*OPTICAL_PHOTONS) * OPTICAL_BANDWIDTH_HZ
         assert abs(rate - 87e6) / 87e6 < 0.05
 
     def test_decreasing_in_background(self):
-        values = [shannon_capacity(PhotonNumbers(0.5, n_b)) for n_b in (0.0, 0.1, 1.0, 10.0)]
+        values = [shannon_capacity(0.5, n_b) for n_b in (0.0, 0.1, 1.0, 10.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestHolevoCapacity:
     def test_zero_signal(self):
-        assert holevo_capacity(PhotonNumbers(0.0, 0.1)) == 0.0
+        assert holevo_capacity(0.0, 0.1) == 0.0
 
     def test_optical_regime_rate(self):
-        rate = holevo_capacity(OPTICAL_PHOTONS) * OPTICAL_BANDWIDTH_HZ
+        rate = holevo_capacity(*OPTICAL_PHOTONS) * OPTICAL_BANDWIDTH_HZ
         assert abs(rate - 273e6) / 273e6 < 0.05
 
     def test_rf_regime_rate(self):
-        rate = holevo_capacity(RF_PHOTONS) * RF_BANDWIDTH_HZ
+        rate = holevo_capacity(*RF_PHOTONS) * RF_BANDWIDTH_HZ
         assert abs(rate - 11.5e6) / 11.5e6 < 0.05
 
     @given(n_a=finite_photon_numbers, n_b=finite_photon_numbers)
     def test_dominates_shannon(self, n_a, n_b):
-        pn = PhotonNumbers(n_a, n_b)
-        assert holevo_capacity(pn) >= shannon_capacity(pn) - 1e-12
+        assert holevo_capacity(n_a, n_b) >= shannon_capacity(n_a, n_b) - 1e-12
 
 
 def holevo_reference(n_a, n_b):
@@ -181,7 +179,7 @@ def holevo_reference(n_a, n_b):
 
 def assert_holevo_matches_reference(n_a, n_b):
     # budget 1e-12 relative; the formula's own rounding stays near 1e-14
-    got = holevo_capacity(PhotonNumbers(n_a, n_b))
+    got = holevo_capacity(n_a, n_b)
     want = holevo_reference(n_a, n_b)
     assert abs(got - want) <= 1e-12 * want, (n_a, n_b, got, float(want))
 
@@ -234,7 +232,7 @@ class TestHolevoAgainstMpmath:
     @pytest.mark.parametrize("n_b", [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
     def test_finite_for_every_accepted_background(self, n_b):
         for n_a in (1e-10, 1.0, 1e10):
-            value = holevo_capacity(PhotonNumbers(n_a, n_b))
+            value = holevo_capacity(n_a, n_b)
             assert math.isfinite(value) and value >= 0.0
 
 
@@ -249,12 +247,12 @@ class TestPie:
 
     def test_holevo_pie_near_asymptote(self):
         n_a = 1e-6
-        value = pie(holevo_capacity(PhotonNumbers(n_a, 0.01)), n_a)
+        value = pie(holevo_capacity(n_a, 0.01), n_a)
         assert abs(value - LOG2_101) / LOG2_101 < 1e-3
 
     def test_shannon_pie_noiseless(self):
         n_a = 1e-6
-        value = pie(shannon_capacity(PhotonNumbers(n_a, 0.0)), n_a)
+        value = pie(shannon_capacity(n_a, 0.0), n_a)
         assert abs(value - LOG2_E) / LOG2_E < 1e-3
 
 
@@ -284,13 +282,13 @@ class TestAsymptotes:
     def test_holevo_asymptote_matches_capacity_limit(self, n_b):
         # at n_a = 1e-8 the exact PIE sits within O(n_a / n_b) of the limit
         n_a = 1e-8
-        exact = pie(holevo_capacity(PhotonNumbers(n_a, n_b)), n_a)
+        exact = pie(holevo_capacity(n_a, n_b), n_a)
         assert abs(exact - holevo_pie_asymptote(n_b)) / exact < 1e-5
 
     @pytest.mark.parametrize("n_b", [0.0, 0.1])
     def test_shannon_asymptote_matches_capacity_limit(self, n_b):
         n_a = 1e-8
-        exact = pie(shannon_capacity(PhotonNumbers(n_a, n_b)), n_a)
+        exact = pie(shannon_capacity(n_a, n_b), n_a)
         assert abs(exact - shannon_pie_asymptote(n_b)) / exact < 1e-6
 
 
@@ -300,21 +298,21 @@ class TestLowSignalBehaviour:
     @pytest.mark.parametrize("n_b", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_asymptotes_reached_at_micro_photon_level(self, n_b):
         n_a = 1e-6
-        hol = pie(holevo_capacity(PhotonNumbers(n_a, n_b)), n_a)
-        sh = pie(shannon_capacity(PhotonNumbers(n_a, n_b)), n_a)
+        hol = pie(holevo_capacity(n_a, n_b), n_a)
+        sh = pie(shannon_capacity(n_a, n_b), n_a)
         assert abs(hol - holevo_pie_asymptote(n_b)) / holevo_pie_asymptote(n_b) < 0.01
         assert abs(sh - shannon_pie_asymptote(n_b)) / shannon_pie_asymptote(n_b) < 0.01
 
     def test_shannon_pie_insensitive_to_weak_background(self):
         n_a = 1e-4
-        clean = pie(shannon_capacity(PhotonNumbers(n_a, 0.0)), n_a)
-        noisy = pie(shannon_capacity(PhotonNumbers(n_a, 0.01)), n_a)
+        clean = pie(shannon_capacity(n_a, 0.0), n_a)
+        noisy = pie(shannon_capacity(n_a, 0.01), n_a)
         assert abs(noisy - clean) / clean < 0.02
 
     def test_shannon_pie_decreasing_in_background(self):
         n_a = 1e-4
         values = [
-            pie(shannon_capacity(PhotonNumbers(n_a, n_b)), n_a)
+            pie(shannon_capacity(n_a, n_b), n_a)
             for n_b in (0.0, 0.01, 0.1, 1.0, 10.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -322,6 +320,6 @@ class TestLowSignalBehaviour:
     @pytest.mark.parametrize("capacity", [holevo_capacity, shannon_capacity])
     @pytest.mark.parametrize("n_b", [1e-1, 1e-2])
     def test_pie_flattens_to_a_constant(self, capacity, n_b):
-        a = pie(capacity(PhotonNumbers(1e-6, n_b)), 1e-6)
-        b = pie(capacity(PhotonNumbers(1e-7, n_b)), 1e-7)
+        a = pie(capacity(1e-6, n_b), 1e-6)
+        b = pie(capacity(1e-7, n_b), 1e-7)
         assert abs(a - b) / b < 0.005

@@ -782,6 +782,34 @@ class TestPieSweep:
         assert [row["flag"] for row in rows] == ["ok", "failed", "failed"]
         assert math.isnan(float(rows[1]["pie"]))
 
+    def test_underflowing_information_gives_failed_rows(self, tmp_path):
+        # PPM's information per bin goes as n_a**2 at n_b = 1e-2, so at
+        # n_a = 1e-175 it underflows and every M scores 0; those rows read
+        # m_star = m_min, pie 0.0 and "ok" before they were flagged
+        argv = ["pie-sweep", "--scheme", "both", "--model", "poisson", "--n-b", "1e-2",
+                "--na-grid", "1e-200", "1e-100", "5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 1
+        for scheme in (PPM, OOK):
+            _, rows = parse_table((tmp_path / f"sweep_{scheme}.csv").read_text(encoding="utf-8"))
+            for row in rows[:2]:
+                assert row["flag"] == "failed"
+                assert all(math.isnan(float(row[name])) for name in ("m_star", "pie", "pulse_energy"))
+            assert all(row["flag"] != "failed" for row in rows[2:])
+        _, rows = parse_table((tmp_path / "sweep_ppm.csv").read_text(encoding="utf-8"))
+        assert (rows[2]["pie"], rows[2]["flag"]) == ("2.666979787290808e-147", "ok")
+
+    def test_subnormal_signal_gives_failed_rows(self, tmp_path):
+        # the information per bin is subnormal here: pie read 30.0 at
+        # n_a = 5e-324, and 29.897 flagged "boundary" at the next two points
+        code, _, rows = run_to_file(
+            ["pie-sweep", "--scheme", "ppm", "--model", "poisson", "--n-b", "0",
+             "--na-grid", "5e-324", "1e-310", "3"],
+            tmp_path / "sweep.csv",
+        )
+        assert code == 1
+        assert [row["flag"] for row in rows] == ["failed"] * 3
+        assert all(math.isnan(float(row["pie"])) for row in rows)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         argv = [
             "pie-sweep",
@@ -1029,6 +1057,12 @@ class TestLink:
             (["1e-151", "1e-151", "1"],
              "1e-151 AU is too near: pulse energy n_a * m_max overflows at n_a = 3.139916241795556e+300"),
             (["1e200", "1e201", "2"], "1e+200 AU is too far: n_a underflows to 0"),
+            # n_a is positive, but the information per bin underflows: the
+            # rates read 0.0 and "ok", and at 1e145 AU the peak power 0.0 W
+            (["1e140", "1e150", "3"],
+             "1e+140 AU is too far: the information per bin underflows at n_a = 3.139916241795556e-282"),
+            (["1e60", "1e150", "4"],
+             "1e+90 AU is too far: the information per bin underflows at n_a = 3.139916241795557e-182"),
         ],
     )
     def test_distance_without_optimum_is_named_in_au(self, grid, message, tmp_path, capsys):
@@ -1036,6 +1070,18 @@ class TestLink:
         assert cli.main(["link", "--model", "both", "--r-au-grid", *grid, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"photonlink link: error: distance {message}\n"
         assert not out.exists()
+
+    def test_every_scheme_is_checked(self, tmp_path, capsys):
+        # OOK still has an optimum at this n_a, PPM none: the run was
+        # judged by the first scheme's flags and wrote the table
+        argv = ["link", "--r-au-grid", "5e75", "5e75", "1", "--out", str(tmp_path / "link.csv")]
+        assert cli.main(argv + ["--schemes", "ook", "ppm"]) == 2
+        assert capsys.readouterr().err == (
+            "photonlink link: error: distance 5e+75 AU is too far: "
+            "the information per bin underflows at n_a = 1.255966496718222e-153\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main(argv + ["--schemes", "ook"]) == 1
 
     def test_table_is_rate_vs_distance_field_by_field(self, tmp_path):
         # one sweep lays out the table, row by row what rate_vs_distance
@@ -1062,9 +1108,8 @@ class TestLink:
                     assert row[f"flag_{scheme}"] == want.flag
                     assert float(row["rate_shannon_bps"]) == want.shannon_rate_bps
                     assert float(row["rate_holevo_bps"]) == want.holevo_rate_bps
-                    pn = capacity.PhotonNumbers(want.n_a, want.n_b)
-                    assert want.shannon_rate_bps == capacity.shannon_capacity(pn) * lp.bandwidth_hz
-                    assert want.holevo_rate_bps == capacity.holevo_capacity(pn) * lp.bandwidth_hz
+                    assert want.shannon_rate_bps == capacity.shannon_capacity(want.n_a, want.n_b) * lp.bandwidth_hz
+                    assert want.holevo_rate_bps == capacity.holevo_capacity(want.n_a, want.n_b) * lp.bandwidth_hz
 
     @pytest.mark.parametrize("n_b", ["0", "1e-2"])
     @pytest.mark.parametrize("config", ["table1_optical.cfg", "table1_rf.cfg"])

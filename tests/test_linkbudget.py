@@ -7,12 +7,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from photonlink.capacity import holevo_capacity, shannon_capacity
 from photonlink.linkbudget import (
     CONFIG_KEYS,
     AU_M,
     LinkConfigError,
     LinkParams,
     REFERENCE_REGIMES,
+    _distance_sweep,
     channel_transmission,
     load_link_params,
     noise_power_watts,
@@ -22,7 +24,7 @@ from photonlink.linkbudget import (
     transmitter_peak_power,
 )
 from photonlink.noise import gaussian, poissonian
-from photonlink.optimize import FLAG_BOUNDARY, FLAG_OK, OOK, PPM
+from photonlink.optimize import FLAG_BOUNDARY, FLAG_FAILED, FLAG_OK, OOK, PPM
 
 RF_CONFIG = str(resources.files("photonlink").joinpath("configs/table1_rf.cfg"))
 OPTICAL_CONFIG = str(resources.files("photonlink").joinpath("configs/table1_optical.cfg"))
@@ -308,6 +310,28 @@ class TestRateVsDistance:
     def test_rejects_unknown_scheme(self, optical_lp):
         with pytest.raises(ValueError):
             rate_vs_distance(optical_lp, poissonian(1e-2), "psk", [1.49e11])
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_information_names_the_distance(self, optical_lp):
+        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1\.49e\+151: n_a = 3\.139916241795556e-282$"):
+            rate_vs_distance(optical_lp, poissonian(1e-2), OOK, [1e140 * AU_M])
+
+    @pytest.mark.filterwarnings("error")
+    def test_reference_rates_follow_n_a_not_the_flags(self, optical_lp):
+        # at 1e140 AU the information per bin underflows, so both searches
+        # fail, but n_a > 0 still has its capacities; where n_a is 0 or
+        # n_a * m_max overflows they are NaN
+        r_m = [1e-190, 1e140 * AU_M, 1e200 * AU_M]
+        columns = _distance_sweep(optical_lp, ["poisson", "gauss"], 1e-2, [PPM, OOK], r_m)
+        for scheme in (PPM, OOK):
+            assert columns[f"flag_{scheme}"].tolist() == [FLAG_FAILED] * 6
+        n_a = columns["n_a"][1].item()
+        assert n_a > 0.0
+        bandwidth = optical_lp.bandwidth_hz
+        for name, capacity in (("shannon_rate_bps", shannon_capacity), ("holevo_rate_bps", holevo_capacity)):
+            values = columns[name].tolist()
+            assert values[1] == values[4] == capacity(n_a, 1e-2) * bandwidth
+            assert all(math.isnan(values[i]) for i in (0, 2, 3, 5))
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf])
     def test_bad_distance_in_an_array_is_named_as_a_float(self, optical_lp, bad):

@@ -32,6 +32,7 @@ from photonlink.optimize import (
     OOK,
     PPM,
     SCHEMES,
+    _MI_FLOOR,
     optimize_M,
     sweep_pie,
 )
@@ -267,6 +268,44 @@ class TestOptimizeAgainstMpmath:
         assert not opt.at_boundary
         assert opt.m_star == pytest.approx(m_peak, rel=1e-6)
         assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-9 * mi_star
+
+
+class TestInformationFloor:
+    """An optimum whose information per bin is below _MI_FLOOR is failed:
+    there the value has underflowed, or (OOK at n_b = 0) lost its digits,
+    and every M scored the same."""
+
+    def test_optimize_M_names_the_underflow(self):
+        with pytest.raises(ValueError, match=r"^the information per bin underflows at n_a = 1e-200$"):
+            optimize_M(1e-200, NoiseModel("poisson", 1e-2), PPM)
+
+    def test_optimize_M_names_the_overflow(self):
+        with pytest.raises(ValueError, match=r"^pulse energy n_a \* m_max overflows at n_a = 1e\+300$"):
+            optimize_M(1e300, NoiseModel("poisson", 1e-2), PPM)
+
+    # n_a whose optimum lies just above the floor; the information goes as
+    # n_a at n_b = 0 and as n_a**2 at n_b = 1e-2 (Gauss at n_b = 0 is Poisson)
+    @pytest.mark.parametrize(
+        "scheme, kind, n_b, n_a",
+        [
+            (PPM, "poisson", 0.0, 4.1e-302),
+            (OOK, "poisson", 0.0, 4.1e-302),
+            (PPM, "poisson", 1e-2, 2.2e-152),
+            (PPM, "gauss", 1e-2, 2.2e-152),
+            (OOK, "poisson", 1e-2, 4.1e-156),
+            (OOK, "gauss", 1e-2, 4.2e-156),
+        ],
+    )
+    def test_just_above_the_floor_matches_mpmath(self, scheme, kind, n_b, n_a):
+        model = NoiseModel(kind, n_b)
+        opt = optimize_M(n_a, model, scheme)
+        assert _MI_FLOOR < opt.mi_per_bin < 1.3 * _MI_FLOOR
+        m_star, mi_star = mp_reference.optimum(scheme, kind, n_b, n_a)
+        assert abs(opt.m_star - m_star) <= 1e-5 * m_star
+        # the kernels' own budget (test_modulation.KERNEL_RTOL)
+        assert abs(mp.mpf(opt.mi_per_bin) - mi_star) <= 1e-12 * mi_star
+        with pytest.raises(ValueError, match="the information per bin underflows"):
+            optimize_M(0.49 * n_a, model, scheme)
 
 
 # the CLI range, log-uniform so that every decade is drawn

@@ -31,3 +31,11 @@ def test_the_link_budget_constants_are_not_a_choice():
         and "constants" in inspect.signature(obj).parameters
     ]
     assert takes_constants == []
+
+
+def test_capacities_take_plain_photon_numbers():
+    # no record wraps (n_a, n_b): both capacities take the two floats
+    assert "PhotonNumbers" not in dir(photonlink)
+    assert "PhotonNumbers" not in dir(photonlink.capacity)
+    for function in (photonlink.shannon_capacity, photonlink.holevo_capacity):
+        assert list(inspect.signature(function).parameters) == ["n_a", "n_b"]
