@@ -28,12 +28,9 @@ from .modulation import (
 from .noise import ClickProbabilities, NoiseModel, click_probs, gaussian, poissonian
 from .optimize import ModulationOptimum, optimize_M, sweep_pie
 from .receiver import (
-    FieldPattern,
     ReceiverConfig,
-    apply_module,
     apply_receiver,
     concentration_efficiency,
-    detect_pattern,
     load_pattern,
     make_pattern,
     save_pattern,
@@ -69,12 +66,9 @@ __all__ = [
     "noise_power_watts",
     "transmitter_peak_power",
     "rate_vs_distance",
-    "FieldPattern",
     "ReceiverConfig",
-    "apply_module",
     "apply_receiver",
     "make_pattern",
-    "detect_pattern",
     "concentration_efficiency",
     "save_pattern",
     "load_pattern",

@@ -47,8 +47,10 @@ from .linkbudget import (
     regime_summary,
 )
 from .noise import GAUSS, POISSON, NoiseModel, _click_probs
-from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _searchable, _sweep
+from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _no_optimum, _sweep
 from .receiver import (
+    H,
+    V,
     ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
@@ -306,14 +308,8 @@ def cmd_link(args: argparse.Namespace) -> int:
     failed = (flags.reshape(-1, len(r_grid_au)) == FLAG_FAILED).any(axis=0)
     if failed.any():
         i = failed.argmax()
-        n_a = columns["n_a"][i].item()
-        if n_a == 0.0:
-            reason = "too far: n_a underflows to 0"
-        elif not _searchable(n_a):
-            reason = f"too near: pulse energy n_a * m_max overflows at n_a = {n_a!r}"
-        else:
-            reason = f"too far: the information per bin underflows at n_a = {n_a!r}"
-        raise ValueError(f"distance {r_grid_au[i].item()!r} AU is {reason}")
+        too_near, cause = _no_optimum(columns["n_a"][i].item())
+        raise ValueError(f"distance {r_grid_au[i].item()!r} AU is too {'near' if too_near else 'far'}: {cause}")
     table = {
         "model": columns["model"].tolist(),
         "r_au": np.tile(r_grid_au, len(kinds)).tolist(),
@@ -351,11 +347,12 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     out_field = apply_receiver(pattern, cfg)
     mean, std = concentration_efficiency(cfg)
 
-    # complex (n_bins, 2) amplitudes viewed as float columns re_h, im_h, re_v, im_v;
-    # the click columns are detect_pattern's, from the energies formed once
-    energies = out_field.bin_energies()
+    # each bin's detector sees the energy of both polarizations
+    energies = np.abs(out_field[H]) ** 2 + np.abs(out_field[V]) ** 2
+    # the rows H and V of each field as float columns re_h, im_h, re_v, im_v
     columns = (
-        [*pattern.amps.view(float).T, *out_field.amps.view(float).T, energies]
+        [part for field in (pattern, out_field) for row in field for part in (row.real, row.imag)]
+        + [energies]
         + [_click_probs(model.kind, model.n_b, energies)[1] for model in models]
     )
     names = (
@@ -363,7 +360,7 @@ def cmd_receiver(args: argparse.Namespace) -> int:
         + ["out_re_h", "out_im_h", "out_re_v", "out_im_v", "out_bin_energy"]
         + [f"click_prob_{kind}" for kind in kinds]
     )
-    table = {"bin": range(pattern.n_bins), **dict(zip(names, columns))}
+    table = {"bin": range(pattern.shape[1]), **dict(zip(names, columns))}
     params = _echo(args, concentration_mean=mean, concentration_std=std)
     if args.pattern_out is not None:
         save_pattern(_create(args.pattern_out), pattern)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .capacity import holevo_capacity, shannon_capacity
 from .noise import NoiseModel
-from .optimize import FLAG_FAILED, _maximize, _searchable
+from .optimize import FLAG_FAILED, _maximize, _no_optimum, _searchable
 
 
 # Planck's constant (J s) and the speed of light (m/s)
@@ -235,15 +235,14 @@ def rate_vs_distance(
     same (n_a, n_b) for comparison.  All distances are optimized in one
     batched search; rows keep the given order, and a boundary-pinned
     optimum flags its row instead of aborting.  A distance whose n_a has no
-    optimum raises ValueError naming it in metres.
+    optimum raises ValueError naming it in metres, and why.
     """
     columns = _distance_sweep(lp_template, [noise.kind], noise.n_b, [scheme], r_grid_m)
     failed = columns[f"flag_{scheme}"] == FLAG_FAILED
     if failed.any():
         i = failed.argmax()
-        raise ValueError(
-            f"no optimum at distance_m = {columns['distance_m'][i].item()!r}: n_a = {columns['n_a'][i].item()!r}"
-        )
+        cause = _no_optimum(columns["n_a"][i].item())[1]
+        raise ValueError(f"no optimum at distance_m = {columns['distance_m'][i].item()!r}: {cause}")
     fields = (
         "distance_m", "n_a", f"m_star_{scheme}", f"rate_{scheme}_bps", f"peak_power_{scheme}_w",
         f"flag_{scheme}", "n_b", "shannon_rate_bps", "holevo_rate_bps",

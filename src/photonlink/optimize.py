@@ -121,6 +121,20 @@ def _searchable(n_a, m_max=_M_MAX):
         return (n_a > 0.0) & np.isfinite(n_a * m_max)
 
 
+def _no_optimum(n_a: float, m_max: float = _M_MAX) -> tuple[bool, str]:
+    """Why ``n_a``, a point that ``_maximize`` failed, has no optimum.
+
+    Returns (too_large, cause): ``too_large`` where n_a * m_max overflows,
+    which on a link is a distance too near; otherwise n_a is 0 or its
+    information per bin underflows, a distance too far.
+    """
+    if n_a == 0.0:
+        return False, "n_a underflows to 0"
+    if not _searchable(n_a, m_max):
+        return True, f"pulse energy n_a * m_max overflows at n_a = {n_a!r}"
+    return False, f"the information per bin underflows at n_a = {n_a!r}"
+
+
 def _vertex(tri, span):
     """Vertex of the parabola through each row's triple, and the spacing of
     the probes around it.
@@ -322,9 +336,7 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX
         raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
     m_star, mi, flag = _maximize(np.array([n_a]), np.array([model.n_b]), (model.kind,), scheme, m_max)
     if flag[0] == FLAG_FAILED:
-        if not _searchable(n_a, m_max):
-            raise ValueError(f"pulse energy n_a * m_max overflows at n_a = {n_a!r}")
-        raise ValueError(f"the information per bin underflows at n_a = {n_a!r}")
+        raise ValueError(_no_optimum(n_a, m_max)[1])
     m, value = float(m_star[0]), float(mi[0])
     return ModulationOptimum(m, value / n_a, value, m * n_a, flag[0] == FLAG_BOUNDARY)
 

@@ -1,9 +1,11 @@
 """Jones-calculus simulation of a structured pulse-concentration receiver.
 
 A receiver of ``k`` cascaded modules acts on classical field patterns that
-occupy 2**k time bins in two polarizations.  Module ``i`` delays the V
-component by 2**(k-i) bins (cyclically, with an optional phase error on the
-delayed arm), then mixes the polarizations on a half-wave plate:
+occupy 2**k time bins in two polarizations; a field is a complex (2, 2**k)
+ndarray whose rows ``field[H]`` and ``field[V]`` are the two polarizations.
+Module ``i`` delays the V component by 2**(k-i) bins (cyclically, with an
+optional phase error on the delayed arm), then mixes the polarizations on a
+half-wave plate:
 
     (H, V) -> ((H + V)/sqrt(2), (H - V)/sqrt(2))
 
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, _click_probs
-
 H = 0
 V = 1
 
@@ -36,43 +36,6 @@ _SQRT_HALF = math.sqrt(0.5)
 
 class PatternFormatError(ValueError):
     """Raised on malformed field-pattern files."""
-
-
-@dataclass(frozen=True, eq=False)
-class FieldPattern:
-    """Complex field amplitudes on a grid of time bins, shape (n_bins, 2).
-
-    Column 0 is the H polarization, column 1 the V polarization.  The
-    number of bins must be a power of two.  Amplitudes are stored read-only;
-    operations return new patterns.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
-            raise ValueError(f"amps must have shape (n_bins, 2), got {amps.shape}")
-        n = amps.shape[0]
-        if n & (n - 1):
-            raise ValueError(f"n_bins must be a power of two, got {n}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def n_bins(self) -> int:
-        return self.amps.shape[0]
-
-    def energy(self) -> float:
-        """Total energy sum(|amp|^2) over all bins and polarizations."""
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def bin_energies(self) -> np.ndarray:
-        """Energy per time bin, both polarizations combined."""
-        return np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -87,6 +50,8 @@ class ReceiverConfig:
     def __post_init__(self) -> None:
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        # 3.0 or True is kept as the int it equals, which shifts and ranges need
+        object.__setattr__(self, "k", int(self.k))
         if not 0.0 < self.per_module_loss <= 1.0:
             raise ValueError(f"per_module_loss must be in (0, 1], got {self.per_module_loss!r}")
         if not math.isfinite(self.phase_error_sigma) or self.phase_error_sigma < 0.0:
@@ -95,43 +60,15 @@ class ReceiverConfig:
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
-def apply_module(
-    pattern: FieldPattern,
-    delay_bins: int,
-    phase_error: float = 0.0,
-    loss: float = 1.0,
-) -> FieldPattern:
-    """One module: cyclic V delay with phase error, half-wave plate, loss.
-
-    Args:
-        pattern: input field.
-        delay_bins: delay of the V component in bins; must divide n_bins.
-        phase_error: extra phase (rad) picked up on the delayed arm.
-        loss: power transmission of the module, in (0, 1].
-
-    Returns:
-        The output field pattern.
-    """
-    n = pattern.n_bins
-    if int(delay_bins) != delay_bins or delay_bins < 1 or n % int(delay_bins):
-        raise ValueError(f"delay_bins must be a positive divisor of {n}, got {delay_bins!r}")
-    if not 0.0 < loss <= 1.0:
-        raise ValueError(f"loss must be in (0, 1], got {loss!r}")
-    if not math.isfinite(phase_error):
-        raise ValueError(f"phase_error must be finite, got {phase_error!r}")
-    # a copy: for one bin the transpose is already contiguous, and read-only
-    field = pattern.amps.T.copy()
-    _module(field, np.empty(n, dtype=np.complex128), int(delay_bins), phase_error, loss)
-    return FieldPattern(field.T)
-
-
 def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss: float) -> None:
-    """``apply_module`` in place on a complex (2, n_bins) array, arguments unchecked.
+    """One module in place on a field, arguments unchecked: the V arm's
+    cyclic delay by ``delay`` bins with phase error ``phase`` (rad), the
+    half-wave plate, then the power transmission ``loss``.
 
-    ``field[H]`` and ``field[V]`` are the two polarizations, each contiguous,
-    and ``spare`` is a complex (n_bins,) work array.  The delayed, phase-
-    shifted V arm goes into ``spare`` by two slice products, then the
-    half-wave plate and the loss overwrite H and V; no array is allocated.
+    ``field[H]`` and ``field[V]`` are each contiguous, and ``spare`` is a
+    complex (n_bins,) work array.  The delayed, phase-shifted V arm goes
+    into ``spare`` by two slice products, then the half-wave plate and the
+    loss overwrite H and V; no array is allocated.
     Each product and sum is the one that a step written with ``np.roll``
     and ``np.column_stack`` makes, in the same order, so the bits, signed
     zeros too, are the same: keep the product by ``exp(1j * phase)`` even
@@ -148,38 +85,51 @@ def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss
     v *= scale
 
 
-def apply_receiver(pattern: FieldPattern, cfg: ReceiverConfig) -> FieldPattern:
-    """Run a field pattern through the full cascade described by ``cfg``.
+def _checked(field: np.ndarray) -> None:
+    """Raise ValueError unless ``field`` is finite with shape (2, 2**k), k >= 0."""
+    n = field.shape[-1] if field.ndim else 0
+    if field.shape != (2, n) or n < 1 or n & (n - 1):
+        raise ValueError(f"field must have shape (2, 2**k), got {field.shape}")
+    if not np.isfinite(field).all():
+        raise ValueError("amplitudes must be finite")
 
-    Module ``i`` (1-based) uses delay n_bins / 2**i, so the last module has
-    delay 1.  Its phase error is draw ``i - 1`` of one normal stream seeded
-    with ``cfg.rng_seed``; sigma = 0 gives the ideal phases exactly.
+
+def apply_receiver(field: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
+    """Run a field through the full cascade described by ``cfg``.
+
+    ``field`` must be finite with shape (2, 2**cfg.k); it is copied once
+    and left as it is.  Module ``i`` (1-based) uses delay n_bins / 2**i, so
+    the last module has delay 1.  Its phase error is draw ``i - 1`` of one
+    normal stream seeded with ``cfg.rng_seed``; sigma = 0 gives the ideal
+    phases exactly.
     """
-    if pattern.n_bins != 1 << cfg.k:
-        raise ValueError(
-            f"pattern has {pattern.n_bins} bins, config expects {1 << cfg.k}"
-        )
+    n = 1 << cfg.k
+    field = np.array(field, dtype=np.complex128, order="C")
+    _checked(field)
+    if field.shape[1] != n:
+        raise ValueError(f"field has {field.shape[1]} bins, config expects {n}")
     phases = np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, cfg.k)
     if not np.all(np.isfinite(phases)):
         raise ValueError(
             f"phase_error_sigma = {cfg.phase_error_sigma!r} is too large: a phase draw overflowed"
         )
-    field = pattern.amps.T.copy()
-    spare = np.empty(pattern.n_bins, dtype=np.complex128)
+    spare = np.empty(n, dtype=np.complex128)
     for i in range(1, cfg.k + 1):
-        _module(field, spare, pattern.n_bins >> i, phases[i - 1], cfg.per_module_loss)
-    return FieldPattern(field.T)
+        _module(field, spare, n >> i, phases[i - 1], cfg.per_module_loss)
+    return field
 
 
-def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPattern:
-    """Codebook pattern that the ideal ``k``-module cascade concentrates
-    into (``target_bin``, H).
+def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarray:
+    """Codebook field, complex (2, 2**k), that the ideal ``k``-module
+    cascade concentrates into (``target_bin``, H).
 
     Built by pushing a single H-polarized pulse backwards through the exact
     inverse cascade, in place on two real arrays and one spare: each stage
     is the half-wave plate, then the V arm's cyclic advance as two slice
     copies.  The result has one occupied polarization per bin with
-    amplitude +-sqrt(total_energy / 2**k).
+    amplitude +-sqrt(total_energy / 2**k); a per-bin energy below the
+    smallest normal float is refused, since its amplitudes would lose their
+    digits or read 0.
     """
     if int(k) != k or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
@@ -188,6 +138,11 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPat
         raise ValueError(f"target_bin must be an integer in [0, {n}), got {target_bin!r}")
     if not math.isfinite(total_energy) or total_energy <= 0.0:
         raise ValueError(f"total_energy must be > 0, got {total_energy!r}")
+    if total_energy / n < sys.float_info.min:
+        raise ValueError(
+            f"total_energy = {total_energy!r} is too small for k = {int(k)}: "
+            "the energy per bin underflows"
+        )
 
     # run the inverse cascade on integer signs; every intermediate state
     # keeps exactly one occupied polarization per bin, so the common factor
@@ -206,16 +161,7 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> FieldPat
     amp_scale = math.sqrt(total_energy / n)
     np.multiply(h, amp_scale, out=field[H].real)
     np.multiply(v, amp_scale, out=field[V].real)
-    return FieldPattern(field.T)
-
-
-def detect_pattern(pattern: FieldPattern, model: NoiseModel) -> np.ndarray:
-    """Per-bin click probability for a single-photon detector array.
-
-    Each bin sees the combined energy of both polarizations as its pulse
-    energy on top of the model background.
-    """
-    return _click_probs(model.kind, model.n_b, pattern.bin_energies())[1]
+    return field
 
 
 def concentration_efficiency(cfg: ReceiverConfig) -> tuple[float, float]:
@@ -249,17 +195,27 @@ _HEADER_RE = re.compile(
 )
 
 
-def save_pattern(path: str, pattern: FieldPattern) -> None:
-    """Write a pattern as a plain-text table, one row per bin."""
-    k = pattern.n_bins.bit_length() - 1
-    header = f"k = {k} energy = {pattern.energy():.17e}\nbin_index re_H im_H re_V im_V"
-    columns = np.column_stack((np.arange(pattern.n_bins), pattern.amps.view(float)))
+def _energy(bins: np.ndarray) -> float:
+    """sum(|amp|**2) of a C-ordered complex (n_bins, 2) array, summed bin by
+    bin (H, then V) as the file's rows run; a sum over the (2, n_bins) field
+    adds in another order and can differ in the last bits."""
+    return float(np.sum(np.abs(bins) ** 2))
+
+
+def save_pattern(path: str, field: np.ndarray) -> None:
+    """Write a finite complex (2, 2**k) field as a plain-text table, one row per bin."""
+    field = np.asarray(field, dtype=np.complex128)
+    _checked(field)
+    bins = np.ascontiguousarray(field.T)
+    n = len(bins)
+    header = f"k = {n.bit_length() - 1} energy = {_energy(bins):.17e}\nbin_index re_H im_H re_V im_V"
+    columns = np.column_stack((np.arange(n), bins.view(float)))
     with open(path, "w", encoding="utf-8") as fh:
         np.savetxt(fh, columns, fmt=["%d"] + ["%.17e"] * 4, header=header, comments="# ")
 
 
-def load_pattern(path: str) -> FieldPattern:
-    """Read a pattern written by ``save_pattern``."""
+def load_pattern(path: str) -> np.ndarray:
+    """Read a field written by ``save_pattern``, as a complex (2, 2**k) array."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = lines[0].strip() if lines else ""
@@ -292,9 +248,9 @@ def load_pattern(path: str) -> FieldPattern:
     # n == 2**k, tested without forming 2**k from the unchecked header
     if n & (n - 1) or n.bit_length() - 1 != k:
         raise PatternFormatError(f"{path}: expected 2**{k} rows for k = {k}, got {n}")
-    pattern = FieldPattern(np.array(rows, dtype=np.complex128))
-    if not math.isclose(pattern.energy(), energy, rel_tol=1e-9, abs_tol=0.0):
+    bins = np.array(rows, dtype=np.complex128)
+    if not math.isclose(_energy(bins), energy, rel_tol=1e-9, abs_tol=0.0):
         raise PatternFormatError(
-            f"{path}: header energy {energy!r} does not match row data ({pattern.energy()!r})"
+            f"{path}: header energy {energy!r} does not match row data ({_energy(bins)!r})"
         )
-    return pattern
+    return bins.T.copy()

@@ -22,13 +22,12 @@ import pytest
 
 from photonlink import __version__, capacity, cli, optimize
 from photonlink.linkbudget import AU_M, load_link_params, rate_vs_distance
-from photonlink.noise import NoiseModel, poissonian
+from photonlink.noise import NoiseModel, click_probs, poissonian
 from photonlink.optimize import OOK, PPM
 from photonlink.receiver import (
     ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
-    detect_pattern,
     load_pattern,
     make_pattern,
 )
@@ -1150,7 +1149,7 @@ class TestReceiverCommand:
             else:
                 assert prob < 1e-12
 
-    def test_click_columns_are_detect_pattern(self, tmp_path):
+    def test_click_columns_are_the_click_probabilities(self, tmp_path):
         argv = ["--k", "5", "--target-bin", "7", "--energy", "2.5", "--loss", "0.93"]
         argv += ["--phase-sigma", "0.1", "--seed", "3", "--n-b", "0.02", "--model", "both"]
         code, _, rows = run_to_file(["receiver"] + argv, tmp_path / "rx.csv")
@@ -1159,10 +1158,21 @@ class TestReceiverCommand:
         out_field = apply_receiver(make_pattern(5, 7, 2.5), cfg)
         # the CLI writes floats with repr, so the round trip is exact
         energies = [float(row["out_bin_energy"]) for row in rows]
-        assert energies == out_field.bin_energies().tolist()
+        assert energies == np.sum(np.abs(out_field) ** 2, axis=0).tolist()
         for kind in ("poisson", "gauss"):
             column = [float(row[f"click_prob_{kind}"]) for row in rows]
-            assert column == detect_pattern(out_field, NoiseModel(kind, 0.02)).tolist()
+            assert column == [click_probs(NoiseModel(kind, 0.02), e).p_p for e in energies]
+
+    def test_amplitude_columns_are_the_field_rows(self, tmp_path):
+        argv = ["receiver", "--k", "4", "--target-bin", "9", "--energy", "0.3", "--loss", "0.95"]
+        code, _, rows = run_to_file(argv + ["--phase-sigma", "0.2", "--seed", "6"], tmp_path / "rx.csv")
+        assert code == 0
+        cfg = ReceiverConfig(k=4, per_module_loss=0.95, phase_error_sigma=0.2, rng_seed=6)
+        pattern = make_pattern(4, 9, 0.3)
+        for side, field in (("in", pattern), ("out", apply_receiver(pattern, cfg))):
+            for pol, row in (("h", field[0]), ("v", field[1])):
+                written = [complex(float(r[f"{side}_re_{pol}"]), float(r[f"{side}_im_{pol}"])) for r in rows]
+                assert written == row.tolist(), (side, pol)
 
     def test_scheduling_note_goes_to_stderr(self, capsys):
         assert cli.main(["receiver", "--k", "1"]) == 0
@@ -1239,8 +1249,7 @@ class TestReceiverCommand:
             ]
         )
         assert code == 0
-        loaded = load_pattern(str(pattern_path))
-        assert np.array_equal(loaded.amps, make_pattern(2, 3, 1.0).amps)
+        assert np.array_equal(load_pattern(str(pattern_path)), make_pattern(2, 3, 1.0))
 
     def test_unwritable_table_removes_the_pattern_file(self, tmp_path, capsys):
         argv = ["receiver", "--pattern-out", str(tmp_path / "p.txt"), "--out", str(tmp_path / "nodir" / "rx.csv")]
@@ -1255,7 +1264,7 @@ class TestReceiverCommand:
         argv = ["receiver", "--pattern-out", str(pattern_path), "--out", str(tmp_path / "nodir" / "rx.csv")]
         assert cli.main(argv) == 2
         assert sorted(path.name for path in tmp_path.iterdir()) == ["p.txt"]
-        assert load_pattern(str(pattern_path)).n_bins == 8
+        assert load_pattern(str(pattern_path)).shape == (2, 8)
 
     def test_oversized_k_is_refused(self, tmp_path, capsys):
         code = cli.main(["receiver", "--k", "17", "--out", str(tmp_path / "rx.csv")])
@@ -1263,6 +1272,18 @@ class TestReceiverCommand:
         err = capsys.readouterr().err
         assert "16" in err
         assert not (tmp_path / "rx.csv").exists()
+
+    @pytest.mark.parametrize("k, energy", [("16", "1e-320"), ("1", "1e-308")])
+    def test_underflowing_bin_energy_is_refused(self, k, energy, tmp_path, capsys):
+        # it wrote every amplitude as 0.0 and exited 0
+        argv = ["receiver", "--k", k, "--energy", energy]
+        argv += ["--out", str(tmp_path / "rx.csv"), "--pattern-out", str(tmp_path / "p.txt")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"photonlink receiver: error: total_energy = {float(energy)!r} is too small for k = {k}: "
+            "the energy per bin underflows\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_loss_is_a_usage_error(self, capsys):
         assert cli.main(["receiver", "--loss", "0"]) == 2

@@ -304,7 +304,7 @@ class TestRateVsDistance:
     # eta_ch overflows to inf at this distance, so n_a * m_max is not finite
     @pytest.mark.filterwarnings("error")
     def test_overflowing_photon_number_names_the_distance(self, optical_lp):
-        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1e-190: n_a = inf$"):
+        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1e-190: pulse energy n_a \* m_max overflows at n_a = inf$"):
             rate_vs_distance(optical_lp, poissonian(1e-2), PPM, [1e-190])
 
     def test_rejects_unknown_scheme(self, optical_lp):
@@ -313,7 +313,8 @@ class TestRateVsDistance:
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_information_names_the_distance(self, optical_lp):
-        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1\.49e\+151: n_a = 3\.139916241795556e-282$"):
+        with pytest.raises(ValueError, match=r"^no optimum at distance_m = 1\.49e\+151: "
+                           r"the information per bin underflows at n_a = 3\.139916241795556e-282$"):
             rate_vs_distance(optical_lp, poissonian(1e-2), OOK, [1e140 * AU_M])
 
     @pytest.mark.filterwarnings("error")

@@ -1,6 +1,8 @@
 """The package's public names: every exported name exists, once."""
 
+import importlib
 import inspect
+import pkgutil
 
 import photonlink
 
@@ -39,3 +41,14 @@ def test_capacities_take_plain_photon_numbers():
     assert "PhotonNumbers" not in dir(photonlink.capacity)
     for function in (photonlink.shannon_capacity, photonlink.holevo_capacity):
         assert list(inspect.signature(function).parameters) == ["n_a", "n_b"]
+
+
+def test_the_receiver_has_no_field_wrapper():
+    # a field is a complex (2, 2**k) array: no record wraps it, and the
+    # one-module step and the click pattern are no public functions
+    removed = {"FieldPattern", "apply_module", "detect_pattern"}
+    assert not removed & set(photonlink.__all__)
+    names = [info.name for info in pkgutil.iter_modules(photonlink.__path__, "photonlink.")]
+    assert "photonlink.receiver" in names
+    for module in [photonlink, *map(importlib.import_module, names)]:
+        assert not removed & set(dir(module)), module.__name__
