@@ -20,12 +20,11 @@ from .linkbudget import (
     transmitter_peak_power,
 )
 from .modulation import (
-    MutualInfoResult,
     ook_mi_per_bin,
     ppm_mi_enumeration_oracle,
     ppm_mi_per_bin,
 )
-from .noise import ClickProbabilities, NoiseModel, click_probs, gaussian, poissonian
+from .noise import NoiseModel, click_probs, gaussian, poissonian
 from .optimize import ModulationOptimum, optimize_M, sweep_pie
 from .receiver import (
     ReceiverConfig,
@@ -46,11 +45,9 @@ __all__ = [
     "holevo_pie_asymptote",
     "shannon_pie_asymptote",
     "NoiseModel",
-    "ClickProbabilities",
     "click_probs",
     "poissonian",
     "gaussian",
-    "MutualInfoResult",
     "ppm_mi_per_bin",
     "ppm_mi_enumeration_oracle",
     "ook_mi_per_bin",

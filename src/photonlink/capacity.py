@@ -3,13 +3,19 @@
 Everything here is expressed in terms of the mean detected signal photon
 number per mode ``n_a`` and the mean background photon number per mode
 ``n_b``.  Capacities are in bits per mode, efficiencies in bits per photon.
+``pie`` is the package's one definition of the efficiency; the modulation
+functions return bits per bin and leave the division to it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 LOG2_E = math.log2(math.e)
+# subnormal floats keep fewer digits: a term proportional to a photon number
+# that small is formed from the number times 2**_SCALE, then scaled back
+_SCALE = 600
 
 
 def _log2_1p(u: float) -> float:
@@ -40,10 +46,18 @@ def g(x: float) -> float:
     return (math.log1p(x) + tail) * LOG2_E
 
 
+def _shannon(n_a: float, n_b: float) -> float:
+    q = n_a / (n_b + 1.0)
+    if q >= sys.float_info.min:
+        return _log2_1p(q)
+    # log1p(q) = q, and a subnormal q has lost digits
+    return math.ldexp(math.ldexp(n_a, _SCALE) / (n_b + 1.0) * LOG2_E, -_SCALE)
+
+
 def shannon_capacity(n_a: float, n_b: float) -> float:
     """Shannon capacity log2(1 + n_a / (n_b + 1)) of the quadrature channel."""
     _check_photon_numbers(n_a, n_b)
-    return _log2_1p(n_a / (n_b + 1.0))
+    return _shannon(n_a, n_b)
 
 
 def _scaled_h(x: float, a: float) -> float:
@@ -65,16 +79,51 @@ def holevo_capacity(n_a: float, n_b: float) -> float:
     about n_a.  From n_a >= 1e3 and n_a >= 10 (n_b + 1) on, each
     log1p(n_a/x) is written log n_a - log x + log1p(x/n_a) instead, and
     the x log x terms make g(n_b) in its own cancellation-free form.
+
+    Both forms subtract terms of order n_b: above n_b = 1e2 ``_wide`` takes
+    over.  Below n_a = 1e-300 the terms go about as n_a, times 2**_SCALE.
     """
     _check_photon_numbers(n_a, n_b)
     if n_a == 0.0:
         return 0.0
-    nats = n_a * math.log1p(1.0 / (n_a + n_b))
+    if n_b > 1e2:
+        return _wide(n_a, n_b)
+    inv = 1.0 / (n_a + n_b)
+    # 1/(n_a + n_b) overflows at subnormal totals, where log1p of it is -log(n_a + n_b)
+    log1p_inv = -math.log(n_a + n_b) if math.isinf(inv) else math.log1p(inv)
     above = n_b + 1.0
     if n_a >= 1e3 and n_a >= 10.0 * above:
+        nats = n_a * log1p_inv
         nats += math.log(n_a) + above * math.log1p(above / n_a) - n_b * math.log1p(n_b / n_a)
         return nats * LOG2_E - g(n_b)
-    return (nats + _scaled_h(n_b, n_a) - _scaled_h(above, n_a)) * LOG2_E
+    k = _SCALE if n_a < 1e-300 else 0
+    a, b, c = math.ldexp(n_a, k), math.ldexp(n_b, k), math.ldexp(above, k)
+    return math.ldexp((a * log1p_inv + _scaled_h(b, a) - _scaled_h(c, a)) * LOG2_E, -k)
+
+
+def _wide(n_a: float, n_b: float) -> float:
+    """Holevo capacity in bits at n_b > 1e2, where n_b + 1 may round to n_b.
+
+    (x + 1) log1p(a/(x + 1)) - x log1p(a/x) = log1p(a/(x + 1)) +
+    x log1p(-a/((x + 1)(x + a))), so in nats the capacity is the Shannon
+    capacity log1p(n_a/(n_b + 1)) plus the gap n_a log1p(1/(n_a + n_b)) +
+    n_b log1p(-r/(n_b + 1)) >= 0, r = n_a/(n_a + n_b), terms about r and -r.
+    """
+    shannon = _shannon(n_a, n_b)
+    if n_a < 1e-17 * n_b:
+        # C = n_a log1p(1/n_b) to relative n_a / (2 n_b), one rounding; it
+        # and the Shannon capacity agree to rounding from n_b = 2**53 on
+        return max(n_a * (math.log1p(1.0 / n_b) * LOG2_E), shannon)
+    above = n_b + 1.0
+    total = n_a + n_b
+    # n_a + n_b may overflow
+    r = n_a / total if math.isfinite(total) else 1.0 / (1.0 + n_b / n_a)
+    # x log1p(1/x) = 1 - 1/(2x) to rounding from x = 2**53 on
+    first = n_a * math.log1p(1.0 / total) if total < 2.0**53 else r
+    y = r / above
+    # log1p(-y) = -y to rounding below y = 1e-16
+    last = n_b * math.log1p(-y) if y > 1e-16 else -r * (n_b / above)
+    return shannon + max(first + last, 0.0) * LOG2_E
 
 
 def pie(capacity_bits: float, n_a: float) -> float:

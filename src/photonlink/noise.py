@@ -12,9 +12,10 @@ Two noise models are supported for a bin of mean background photon number
 The two models coincide exactly at n_b = 0 and to first order in small
 n_b and e_p.
 
-The mutual-information kernels take the model as data: ``_click_params``
-computes each point's click parameters once, so one M search holds points
-of both models.
+``click_probs`` checks one pulse energy and returns the pair (p_b, p_p)
+as floats.  The mutual-information kernels take the model as data:
+``_click_params`` computes each point's click parameters once, so one M
+search holds points of both models.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ def gaussian(n_b: float) -> NoiseModel:
     return NoiseModel(GAUSS, n_b)
 
 
-@dataclass(frozen=True)
-class ClickProbabilities:
-    """Per-bin click probabilities: ``p_b`` empty bin, ``p_p`` pulsed bin."""
-
-    p_b: float
-    p_p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_b <= 1.0 or not 0.0 <= self.p_p <= 1.0:
-            raise ValueError(f"probabilities out of [0, 1]: {self}")
-        if self.p_b > self.p_p:
-            raise ValueError(f"p_b must not exceed p_p: {self}")
-
-
 def _click_probs(kind: str, n_b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p_b, p_p) broadcast over ``n_b`` and pulse energies ``e``; no validation."""
     if kind == POISSON:
@@ -97,17 +84,11 @@ def _one(x: float) -> np.ndarray:
     return np.array([x], dtype=float)
 
 
-def click_probs(model: NoiseModel, pulse_energy: float) -> ClickProbabilities:
-    """Click probabilities for an empty bin and for a bin carrying a pulse.
-
-    Args:
-        model: background noise model.
-        pulse_energy: mean detected photon number e_p of the pulse, >= 0.
-
-    Returns:
-        ClickProbabilities with p_b <= p_p.
-    """
+def click_probs(model: NoiseModel, pulse_energy: float) -> tuple[float, float]:
+    """Click probabilities (p_b, p_p) of an empty bin and of a bin carrying
+    a pulse of mean detected photon number ``pulse_energy`` >= 0; the
+    formulas give 0 <= p_b <= p_p <= 1."""
     if not math.isfinite(pulse_energy) or pulse_energy < 0.0:
         raise ValueError(f"pulse_energy must be finite and >= 0, got {pulse_energy!r}")
     p_b, p_p = _click_probs(model.kind, _one(model.n_b), _one(pulse_energy))
-    return ClickProbabilities(p_b=float(p_b[0]), p_p=float(p_p[0]))
+    return float(p_b[0]), float(p_p[0])

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .capacity import pie
 from .modulation import _ook_mi, _ppm_mi
 from .noise import MODEL_KINDS, NoiseModel, _click_params
 
@@ -185,7 +186,12 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=_M_MAX):
     can be higher.  So the bracket needs no memory of earlier rounds.
     Rounds end when b - a <= ``_TOL``.  The best value probed wins,
     ties going to the first probed; a point whose bracket is done stays
-    frozen while the rest of its block goes on.
+    frozen while the rest of its block goes on.  It is still probed, which
+    costs less than taking it out: on a seed-1 perfbench ``sweep`` (30
+    cycles) frozen rows were 4.3% of all evaluations, and probing only
+    unfinished points, same bits, left ``sweep`` op time unchanged and made
+    ``optimize_M`` (229/233 -> 248/253 us, PPM/OOK) and ``rate_vs_distance``
+    (272 -> 294 us) 8% slower on a 2-core host.
 
     Returns:
         (m_star, mi_per_bin, flag) arrays, one entry per point under each
@@ -338,7 +344,7 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX
     if flag[0] == FLAG_FAILED:
         raise ValueError(_no_optimum(n_a, m_max)[1])
     m, value = float(m_star[0]), float(mi[0])
-    return ModulationOptimum(m, value / n_a, value, m * n_a, flag[0] == FLAG_BOUNDARY)
+    return ModulationOptimum(m, pie(value, n_a), value, m * n_a, flag[0] == FLAG_BOUNDARY)
 
 
 def sweep_pie(

@@ -48,16 +48,21 @@ class ReceiverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        # 3.0 or True is kept as the int it equals, which shifts and ranges need
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _checked_k(self.k))
         if not 0.0 < self.per_module_loss <= 1.0:
             raise ValueError(f"per_module_loss must be in (0, 1], got {self.per_module_loss!r}")
         if not math.isfinite(self.phase_error_sigma) or self.phase_error_sigma < 0.0:
             raise ValueError(f"phase_error_sigma must be >= 0, got {self.phase_error_sigma!r}")
         if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+
+
+def _checked_k(k) -> int:
+    # k % 1 is nan for inf and nan, where int() raises its own errors; 3.0
+    # or True is returned as the int it equals, which shifts and ranges need
+    if not (isinstance(k, (int, float, np.integer, np.floating)) and k >= 1 and k % 1 == 0):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
 
 
 def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss: float) -> None:
@@ -131,16 +136,17 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
     smallest normal float is refused, since its amplitudes would lose their
     digits or read 0.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    n = 1 << int(k)
+    k = _checked_k(k)
+    n = 1 << k
     if int(target_bin) != target_bin or not 0 <= target_bin < n:
         raise ValueError(f"target_bin must be an integer in [0, {n}), got {target_bin!r}")
     if not math.isfinite(total_energy) or total_energy <= 0.0:
         raise ValueError(f"total_energy must be > 0, got {total_energy!r}")
-    if total_energy / n < sys.float_info.min:
+    # total_energy / 2**k, exact, without turning 2**k into a float
+    per_bin = math.ldexp(total_energy, -k)
+    if per_bin < sys.float_info.min:
         raise ValueError(
-            f"total_energy = {total_energy!r} is too small for k = {int(k)}: "
+            f"total_energy = {total_energy!r} is too small for k = {k}: "
             "the energy per bin underflows"
         )
 
@@ -150,7 +156,7 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
     h, v = np.zeros((2, n))
     spare = np.empty(n)
     h[int(target_bin)] = 1.0
-    for stage in range(int(k), 0, -1):
+    for stage in range(k, 0, -1):
         # the half-wave plate is its own inverse
         np.subtract(h, v, out=spare)
         h += v
@@ -158,7 +164,7 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
         v[:-advance] = spare[advance:]
         v[-advance:] = spare[:advance]
     field = np.zeros((2, n), dtype=np.complex128)
-    amp_scale = math.sqrt(total_energy / n)
+    amp_scale = math.sqrt(per_bin)
     np.multiply(h, amp_scale, out=field[H].real)
     np.multiply(v, amp_scale, out=field[V].real)
     return field

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -165,10 +166,12 @@ class TestHolevoCapacity:
 
 
 def holevo_reference(n_a, n_b):
-    """g(n_a + n_b) - g(n_b) in bits, to at least 45 digits.  The difference
-    of the entropies gives up at most 15 of 60 digits at n_a << n_b, and
-    about log10(n_a) more at large n_a, which the precision adds."""
-    with mp.workdps(60 + max(0, int(math.log10(n_a + n_b + 1.0)))):
+    """g(n_a + n_b) - g(n_b) in bits at 400 + log10(n_a + n_b) digits.  Each
+    entropy is at most about 710 (n_a + n_b) and the difference at least
+    5e-324, so at least 70 digits remain; n_a + n_b is formed exactly, also
+    where it overflows in floats."""
+    total = n_a + n_b if math.isfinite(n_a + n_b) else sys.float_info.max
+    with mp.workdps(400 + max(0, int(math.log10(total + 1.0)))):
         a, b = mp.mpf(n_a), mp.mpf(n_b)
 
         def g_mp(x):
@@ -178,10 +181,15 @@ def holevo_reference(n_a, n_b):
 
 
 def assert_holevo_matches_reference(n_a, n_b):
-    # budget 1e-12 relative; the formula's own rounding stays near 1e-14
+    # budget 1e-12 relative; the formula's own rounding stays near 1e-14.  A
+    # subnormal result is spaced 2**-1074 apart whatever its value, so it
+    # may be one such step off on top.  The Holevo capacity bounds the
+    # Shannon capacity from above also in floats.
     got = holevo_capacity(n_a, n_b)
     want = holevo_reference(n_a, n_b)
-    assert abs(got - want) <= 1e-12 * want, (n_a, n_b, got, float(want))
+    step = math.ulp(0.0) if want < sys.float_info.min else 0.0
+    assert abs(got - want) <= 1e-12 * want + step, (n_a, n_b, got, float(want))
+    assert got >= shannon_capacity(n_a, n_b) >= 0.0, (n_a, n_b)
 
 
 class TestHolevoAgainstMpmath:
@@ -234,6 +242,79 @@ class TestHolevoAgainstMpmath:
         for n_a in (1e-10, 1.0, 1e10):
             value = holevo_capacity(n_a, n_b)
             assert math.isfinite(value) and value >= 0.0
+
+
+
+class TestHolevoAtLargeBackgrounds:
+    """Over n_b in (1e2, 1e300] and n_a + n_b up to the float maximum, where
+    the forms above subtract two terms of order n_b: (n_a, n_b) = (1e16, 1e16)
+    gave 0.721 bit for 1.0, (3e22, 1e22) 0.0 for 2.0, (3e22, 1e21) -69.8
+    for 4.954 and (1.7e308, 1e307) -1021.3 for 4.170."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        log_n_a=st.floats(min_value=-10.0, max_value=308.25),
+        log_n_b=st.floats(min_value=2.0, max_value=300.0),
+    )
+    def test_random_points(self, log_n_a, log_n_b):
+        assert_holevo_matches_reference(10.0**log_n_a, 10.0**log_n_b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        log_n_b=st.floats(min_value=2.0, max_value=300.0),
+        ratio=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_signal_near_the_background(self, log_n_b, ratio):
+        # n_a ~ n_b is where the two terms of order n_b cancelled most
+        n_b = 10.0**log_n_b
+        assert_holevo_matches_reference(ratio * n_b, n_b)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b",
+        [(1e16, 1e16), (3e22, 1e22), (3e22, 1e21), (1.7e308, 1e307),
+         (1.7976931348623157e308, 1.7976931348623157e308), (1.7976931348623157e308, 1e300),
+         (1e-10, 1e300), (5e-324, 1e300), (1e-10, 1e8), (1e4, 1e4), (1.0, 1e2 * (1 + 2**-52))],
+    )
+    def test_points_of_former_cancellation(self, n_a, n_b):
+        assert_holevo_matches_reference(n_a, n_b)
+
+    @pytest.mark.parametrize("n_b", [101.0, 1e8, 2.0**53, 1e17, 1e300])
+    def test_across_the_switches(self, n_b):
+        # n_a = 1e-17 n_b starts the full form, n_a + n_b = 2**53 ends the
+        # log1p of the first term, and r / (n_b + 1) = 1e-16 the log1p of the last
+        edges = [1e-17 * n_b, 2.0**53 - n_b, 1e-16 * (n_b + 1.0) * n_b]
+        for edge in (e for e in edges if 0.0 < e < sys.float_info.max):
+            for n_a in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 2.0 * edge):
+                assert_holevo_matches_reference(n_a, n_b)
+
+
+class TestHolevoAtSubnormalTotals:
+    """Where 1/(n_a + n_b) overflowed, the capacity was inf, and where it is
+    subnormal it is good to one step of 2**-1074."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n_a=st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+        n_b=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+    )
+    def test_random_points(self, n_a, n_b):
+        assert_holevo_matches_reference(n_a, n_b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_n_a=st.floats(min_value=-323.3, max_value=-290.0),
+        log_n_b=st.one_of(st.just(-math.inf), st.floats(min_value=-323.3, max_value=300.0)),
+    )
+    def test_tiny_signal(self, log_n_a, log_n_b):
+        n_a = 10.0**log_n_a
+        if n_a > 0.0:
+            assert_holevo_matches_reference(n_a, 10.0**log_n_b)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b", [(1e-310, 0.0), (5e-324, 0.0), (1e-309, 1e-310), (5e-324, 5e-324), (1e-320, 1.0)]
+    )
+    def test_points(self, n_a, n_b):
+        assert_holevo_matches_reference(n_a, n_b)
 
 
 class TestPie:

@@ -1125,6 +1125,16 @@ class TestLink:
             holevo, shannon = float(row["rate_holevo_bps"]), float(row["rate_shannon_bps"])
             assert holevo >= shannon > 0.0, row
 
+    def test_holevo_rate_is_not_below_shannon_at_a_huge_background(self, tmp_path):
+        # n_b + 1 rounds to n_b at 1e22: the Holevo rate read 0.0 there,
+        # next to a Shannon rate of 4.1e9 bit/s
+        _, _, rows = run_to_file(
+            ["link", "--n-b", "1e22", "--r-au-grid", "1e-12", "1e-12", "1"], tmp_path / "link.csv"
+        )
+        assert len(rows) == 1
+        holevo, shannon = float(rows[0]["rate_holevo_bps"]), float(rows[0]["rate_shannon_bps"])
+        assert holevo >= shannon > 4e9, rows[0]
+
     def test_rejects_repeated_scheme(self, tmp_path, capsys):
         out = tmp_path / "link.csv"
         assert cli.main(["link", "--schemes", "ook", "ppm", "ppm", "--out", str(out)]) == 2
@@ -1161,7 +1171,7 @@ class TestReceiverCommand:
         assert energies == np.sum(np.abs(out_field) ** 2, axis=0).tolist()
         for kind in ("poisson", "gauss"):
             column = [float(row[f"click_prob_{kind}"]) for row in rows]
-            assert column == [click_probs(NoiseModel(kind, 0.02), e).p_p for e in energies]
+            assert column == [click_probs(NoiseModel(kind, 0.02), e)[1] for e in energies]
 
     def test_amplitude_columns_are_the_field_rows(self, tmp_path):
         argv = ["receiver", "--k", "4", "--target-bin", "9", "--energy", "0.3", "--loss", "0.95"]

@@ -164,7 +164,7 @@ class TestOptimizeM:
         mi = ppm_mi_per_bin if scheme == PPM else ook_mi_per_bin
         opt = optimize_M(n_a, model, scheme)
         for factor in (0.99, 1.01):
-            nearby = mi(opt.m_star * factor, n_a, model).mi_per_bin
+            nearby = mi(opt.m_star * factor, n_a, model)
             assert opt.mi_per_bin >= nearby
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -174,7 +174,7 @@ class TestOptimizeM:
         opt = optimize_M(n_a, model, scheme)
         m_min = 2.0 if scheme == PPM else 1.0
         for m in np.geomspace(m_min, 1e9, 1000):
-            assert opt.mi_per_bin >= mi(float(m), n_a, model).mi_per_bin
+            assert opt.mi_per_bin >= mi(float(m), n_a, model)
 
     def test_interior_optimum_is_not_flagged(self):
         opt = optimize_M(1e-3, poissonian(1e-2), PPM)

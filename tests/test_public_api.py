@@ -4,6 +4,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import photonlink
 
 
@@ -22,9 +24,39 @@ def test_star_import_binds_every_exported_name():
     assert set(photonlink.__all__) <= namespace.keys()
 
 
-def test_the_link_budget_constants_are_not_a_choice():
-    # one set of constants: no preset is exported and no function takes one
-    assert not {"Constants", "DEFAULT_CONSTANTS", "CODATA_CONSTANTS"} & set(dir(photonlink))
+# names a refactor retired, each with what replaced it
+RETIRED = {
+    "Constants": "one set of link-budget constants in linkbudget",
+    "DEFAULT_CONSTANTS": "one set of link-budget constants in linkbudget",
+    "CODATA_CONSTANTS": "one set of link-budget constants in linkbudget",
+    "PhotonNumbers": "the capacities take the two floats n_a and n_b",
+    "FieldPattern": "a field is a complex (2, 2**k) array",
+    "apply_module": "apply_receiver runs every module on the array",
+    "detect_pattern": "the CLI forms the click column from the bin energies",
+    "MutualInfoResult": "the MI functions return a float; capacity.pie gives bits per photon",
+    "ClickProbabilities": "click_probs returns the pair (p_b, p_p)",
+}
+MODULES = [photonlink] + [
+    importlib.import_module(info.name)
+    for info in pkgutil.iter_modules(photonlink.__path__, "photonlink.")
+]
+
+
+def test_every_module_is_walked():
+    assert {module.__name__ for module in MODULES} >= {
+        "photonlink.capacity", "photonlink.linkbudget", "photonlink.modulation",
+        "photonlink.noise", "photonlink.receiver",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_name_is_gone(name):
+    assert name not in photonlink.__all__
+    for module in MODULES:
+        assert name not in dir(module), (module.__name__, RETIRED[name])
+
+
+def test_no_function_takes_link_budget_constants():
     takes_constants = [
         name
         for name in photonlink.__all__
@@ -36,19 +68,5 @@ def test_the_link_budget_constants_are_not_a_choice():
 
 
 def test_capacities_take_plain_photon_numbers():
-    # no record wraps (n_a, n_b): both capacities take the two floats
-    assert "PhotonNumbers" not in dir(photonlink)
-    assert "PhotonNumbers" not in dir(photonlink.capacity)
     for function in (photonlink.shannon_capacity, photonlink.holevo_capacity):
         assert list(inspect.signature(function).parameters) == ["n_a", "n_b"]
-
-
-def test_the_receiver_has_no_field_wrapper():
-    # a field is a complex (2, 2**k) array: no record wraps it, and the
-    # one-module step and the click pattern are no public functions
-    removed = {"FieldPattern", "apply_module", "detect_pattern"}
-    assert not removed & set(photonlink.__all__)
-    names = [info.name for info in pkgutil.iter_modules(photonlink.__path__, "photonlink.")]
-    assert "photonlink.receiver" in names
-    for module in [photonlink, *map(importlib.import_module, names)]:
-        assert not removed & set(dir(module)), module.__name__

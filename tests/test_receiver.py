@@ -128,6 +128,12 @@ class TestReceiverConfig:
         with pytest.raises(ValueError):
             ReceiverConfig(**kwargs)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_a_non_finite_k_by_name(self, k):
+        # int() raised OverflowError for inf and its own message for nan
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            ReceiverConfig(k=k)
+
     @pytest.mark.parametrize("seed", [-1, 2.0, "7", None])
     def test_rejects_bad_seed_by_name(self, seed):
         with pytest.raises(ValueError, match="rng_seed"):
@@ -224,13 +230,21 @@ class TestMakePattern:
         with pytest.raises(ValueError):
             make_pattern(2, 0, 0.0)
 
-    @pytest.mark.parametrize("k, total_energy", [(16, 1e-320), (16, 1e-303), (1, 4e-308), (3, 5e-324)])
+    @pytest.mark.parametrize(
+        "k, total_energy", [(16, 1e-320), (16, 1e-303), (1, 4e-308), (3, 5e-324), (2000, 1.0)]
+    )
     def test_rejects_an_underflowing_bin_energy_by_name(self, k, total_energy):
         # below the smallest normal float per bin, the amplitudes lose
-        # their digits or read 0
+        # their digits or read 0; 2**2000 has no float, so total_energy /
+        # 2**k raised OverflowError
         message = f"total_energy = {total_energy!r} is too small for k = {k}"
         with pytest.raises(ValueError, match=re.escape(message)):
             make_pattern(k, 0, total_energy)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_a_non_finite_k_by_name(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            make_pattern(k, 0)
 
     @pytest.mark.parametrize("k", [1, 16])
     def test_smallest_normal_bin_energy_is_kept(self, k):
@@ -376,7 +390,7 @@ class TestRollOracle:
 
 def detector_clicks(field, model):
     # a single-photon detector per bin sees both polarizations' energy
-    return np.array([click_probs(model, e).p_p for e in bin_energies(field).tolist()])
+    return np.array([click_probs(model, e)[1] for e in bin_energies(field).tolist()])
 
 
 class TestDetectorClicks:
