@@ -27,7 +27,6 @@ from .modulation import (
 from .noise import NoiseModel, click_probs, gaussian, poissonian
 from .optimize import ModulationOptimum, optimize_M, sweep_pie
 from .receiver import (
-    ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
     load_pattern,
@@ -63,7 +62,6 @@ __all__ = [
     "noise_power_watts",
     "transmitter_peak_power",
     "rate_vs_distance",
-    "ReceiverConfig",
     "apply_receiver",
     "make_pattern",
     "concentration_efficiency",

@@ -24,12 +24,15 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 H = 0
 V = 1
+
+# the most modules, the range the tests cover; a field holds 2**k bins, so
+# the bound turns a mistyped k into a ValueError before numpy allocates one
+MAX_K = 16
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -38,31 +41,17 @@ class PatternFormatError(ValueError):
     """Raised on malformed field-pattern files."""
 
 
-@dataclass(frozen=True)
-class ReceiverConfig:
-    """Cascade of ``k`` modules with per-module loss and phase-error spread."""
-
-    k: int
-    per_module_loss: float = 1.0
-    phase_error_sigma: float = 0.0
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _checked_k(self.k))
-        if not 0.0 < self.per_module_loss <= 1.0:
-            raise ValueError(f"per_module_loss must be in (0, 1], got {self.per_module_loss!r}")
-        if not math.isfinite(self.phase_error_sigma) or self.phase_error_sigma < 0.0:
-            raise ValueError(f"phase_error_sigma must be >= 0, got {self.phase_error_sigma!r}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-
-
 def _checked_k(k) -> int:
-    # k % 1 is nan for inf and nan, where int() raises its own errors; 3.0
-    # or True is returned as the int it equals, which shifts and ranges need
-    if not (isinstance(k, (int, float, np.integer, np.floating)) and k >= 1 and k % 1 == 0):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    # a whole float or a bool is returned as the int it equals, which shifts
+    # and ranges need; the bound comes first, so inf and nan never reach %
+    if not (isinstance(k, (int, float, np.integer, np.floating)) and 1 <= k <= MAX_K and k % 1 == 0):
+        raise ValueError(f"k must be an integer >= 1 and <= {MAX_K}, got {k!r}")
     return int(k)
+
+
+def _checked_sigma(phase_error_sigma: float) -> None:
+    if not math.isfinite(phase_error_sigma) or phase_error_sigma < 0.0:
+        raise ValueError(f"phase_error_sigma must be >= 0, got {phase_error_sigma!r}")
 
 
 def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss: float) -> None:
@@ -90,37 +79,49 @@ def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss
     v *= scale
 
 
-def _checked(field: np.ndarray) -> None:
-    """Raise ValueError unless ``field`` is finite with shape (2, 2**k), k >= 0."""
+def _checked(field: np.ndarray) -> int:
+    """k of a finite field of shape (2, 2**k), 1 <= k <= MAX_K; ValueError for any other."""
     n = field.shape[-1] if field.ndim else 0
     if field.shape != (2, n) or n < 1 or n & (n - 1):
         raise ValueError(f"field must have shape (2, 2**k), got {field.shape}")
+    try:
+        k = _checked_k(n.bit_length() - 1)
+    except ValueError as exc:
+        raise ValueError(f"field must have shape (2, 2**k), got {field.shape}: {exc}") from None
     if not np.isfinite(field).all():
         raise ValueError("amplitudes must be finite")
+    return k
 
 
-def apply_receiver(field: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
-    """Run a field through the full cascade described by ``cfg``.
+def apply_receiver(
+    field: np.ndarray, per_module_loss: float = 1.0, phase_error_sigma: float = 0.0, rng_seed: int = 0
+) -> np.ndarray:
+    """Run a field through a cascade of k modules, k read from its width.
 
-    ``field`` must be finite with shape (2, 2**cfg.k); it is copied once
-    and left as it is.  Module ``i`` (1-based) uses delay n_bins / 2**i, so
-    the last module has delay 1.  Its phase error is draw ``i - 1`` of one
-    normal stream seeded with ``cfg.rng_seed``; sigma = 0 gives the ideal
-    phases exactly.
+    ``field`` must be finite with shape (2, 2**k); it is copied once and
+    left as it is.  Every argument is checked before the cascade runs.
+    Module ``i`` (1-based) uses delay 2**k / 2**i, so the last module has
+    delay 1, and transmits ``per_module_loss`` of the power.  Its phase
+    error is draw ``i - 1`` of one normal stream of spread
+    ``phase_error_sigma`` seeded with ``rng_seed``; sigma = 0 gives the
+    ideal phases exactly.
     """
-    n = 1 << cfg.k
     field = np.array(field, dtype=np.complex128, order="C")
-    _checked(field)
-    if field.shape[1] != n:
-        raise ValueError(f"field has {field.shape[1]} bins, config expects {n}")
-    phases = np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.phase_error_sigma, cfg.k)
+    k = _checked(field)
+    if not 0.0 < per_module_loss <= 1.0:
+        raise ValueError(f"per_module_loss must be in (0, 1], got {per_module_loss!r}")
+    _checked_sigma(phase_error_sigma)
+    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
+    phases = np.random.default_rng(rng_seed).normal(0.0, phase_error_sigma, k)
     if not np.all(np.isfinite(phases)):
         raise ValueError(
-            f"phase_error_sigma = {cfg.phase_error_sigma!r} is too large: a phase draw overflowed"
+            f"phase_error_sigma = {phase_error_sigma!r} is too large: a phase draw overflowed"
         )
+    n = 1 << k
     spare = np.empty(n, dtype=np.complex128)
-    for i in range(1, cfg.k + 1):
-        _module(field, spare, n >> i, phases[i - 1], cfg.per_module_loss)
+    for i in range(1, k + 1):
+        _module(field, spare, n >> i, phases[i - 1], per_module_loss)
     return field
 
 
@@ -142,8 +143,7 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
         raise ValueError(f"target_bin must be an integer in [0, {n}), got {target_bin!r}")
     if not math.isfinite(total_energy) or total_energy <= 0.0:
         raise ValueError(f"total_energy must be > 0, got {total_energy!r}")
-    # total_energy / 2**k, exact, without turning 2**k into a float
-    per_bin = math.ldexp(total_energy, -k)
+    per_bin = total_energy / n
     if per_bin < sys.float_info.min:
         raise ValueError(
             f"total_energy = {total_energy!r} is too small for k = {k}: "
@@ -170,8 +170,9 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
     return field
 
 
-def concentration_efficiency(cfg: ReceiverConfig) -> tuple[float, float]:
-    """Exact (mean, std) of the energy fraction reaching the target port.
+def concentration_efficiency(k: int, phase_error_sigma: float) -> tuple[float, float]:
+    """Exact (mean, std) of the energy fraction reaching the target port of
+    ``k`` modules with phase errors of spread ``phase_error_sigma``.
 
     In one realization module ``i``'s two arms interfere with relative
     phase error phi_i ~ N(0, sigma**2), so a codebook pattern sends exactly
@@ -187,13 +188,15 @@ def concentration_efficiency(cfg: ReceiverConfig) -> tuple[float, float]:
     above the smallest normal float, where that root is already sqrt(k) to
     the last digit, so a tiny u cannot underflow to a wrong std.
     """
+    k = _checked_k(k)
+    _checked_sigma(phase_error_sigma)
     # sigma ** 2 would raise OverflowError above 1.3e154
-    s2 = cfg.phase_error_sigma * cfg.phase_error_sigma
+    s2 = phase_error_sigma * phase_error_sigma
     g = math.expm1(-s2 / 2.0) / 2.0
-    mean = math.exp(cfg.k * math.log1p(g))
+    mean = math.exp(k * math.log1p(g))
     u = -math.expm1(-s2) / (math.sqrt(8.0) * (1.0 + g))
     u2 = max(u * u, sys.float_info.min)
-    return mean, mean * u * math.sqrt(math.expm1(cfg.k * math.log1p(u2)) / u2)
+    return mean, mean * u * math.sqrt(math.expm1(k * math.log1p(u2)) / u2)
 
 
 _HEADER_RE = re.compile(
@@ -211,10 +214,10 @@ def _energy(bins: np.ndarray) -> float:
 def save_pattern(path: str, field: np.ndarray) -> None:
     """Write a finite complex (2, 2**k) field as a plain-text table, one row per bin."""
     field = np.asarray(field, dtype=np.complex128)
-    _checked(field)
+    k = _checked(field)
     bins = np.ascontiguousarray(field.T)
     n = len(bins)
-    header = f"k = {n.bit_length() - 1} energy = {_energy(bins):.17e}\nbin_index re_H im_H re_V im_V"
+    header = f"k = {k} energy = {_energy(bins):.17e}\nbin_index re_H im_H re_V im_V"
     columns = np.column_stack((np.arange(n), bins.view(float)))
     with open(path, "w", encoding="utf-8") as fh:
         np.savetxt(fh, columns, fmt=["%d"] + ["%.17e"] * 4, header=header, comments="# ")
@@ -254,6 +257,10 @@ def load_pattern(path: str) -> np.ndarray:
     # n == 2**k, tested without forming 2**k from the unchecked header
     if n & (n - 1) or n.bit_length() - 1 != k:
         raise PatternFormatError(f"{path}: expected 2**{k} rows for k = {k}, got {n}")
+    try:
+        _checked_k(k)
+    except ValueError as exc:
+        raise PatternFormatError(f"{path}:1: {exc}") from None
     bins = np.array(rows, dtype=np.complex128)
     if not math.isclose(_energy(bins), energy, rel_tol=1e-9, abs_tol=0.0):
         raise PatternFormatError(

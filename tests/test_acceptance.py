@@ -31,7 +31,6 @@ from photonlink.noise import (
 from photonlink.optimize import OOK, PPM, optimize_M
 from photonlink.receiver import (
     H,
-    ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
     make_pattern,
@@ -237,12 +236,11 @@ def test_c09_receiver_suite():
     rng = np.random.default_rng(902)
     worst_energy = 0.0
     for k in range(1, 7):
-        cfg = ReceiverConfig(k=k)
         n = 1 << k
         for _ in range(100):
             amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
             field = amps.T
-            out = apply_receiver(field, cfg)
+            out = apply_receiver(field)
             worst_energy = max(
                 worst_energy, abs(energy(out) - energy(field)) / energy(field)
             )
@@ -252,9 +250,8 @@ def test_c09_receiver_suite():
     # perfect concentration of every codebook entry
     worst_fraction = 1.0
     for k in range(1, 7):
-        cfg = ReceiverConfig(k=k)
         for target in range(1 << k):
-            out = apply_receiver(make_pattern(k, target, 1.0), cfg)
+            out = apply_receiver(make_pattern(k, target, 1.0))
             worst_fraction = min(
                 worst_fraction, abs(out[H, target]) ** 2 / energy(out)
             )
@@ -276,15 +273,12 @@ def test_c09_receiver_suite():
 
     # per-module loss composes as a plain power
     for k in range(1, 7):
-        out = apply_receiver(
-            make_pattern(k, 0, 1.0), ReceiverConfig(k=k, per_module_loss=0.99)
-        )
+        out = apply_receiver(make_pattern(k, 0, 1.0), per_module_loss=0.99)
         if abs(energy(out) - 0.99**k) > 1e-12:
             failures.append(f"loss composition at k={k}: {energy(out)}")
 
     # strong phase noise scrambles the pattern across all 2^k bins
-    cfg = ReceiverConfig(k=3, phase_error_sigma=10.0, rng_seed=2026)
-    mean, _ = concentration_efficiency(cfg)
+    mean, _ = concentration_efficiency(3, 10.0)
     if not 0.8 / 8.0 <= mean <= 1.2 / 8.0:
         failures.append(f"scrambled efficiency {mean}")
 

@@ -25,7 +25,6 @@ from photonlink.linkbudget import AU_M, load_link_params, rate_vs_distance
 from photonlink.noise import NoiseModel, click_probs, poissonian
 from photonlink.optimize import OOK, PPM
 from photonlink.receiver import (
-    ReceiverConfig,
     apply_receiver,
     concentration_efficiency,
     load_pattern,
@@ -1164,8 +1163,7 @@ class TestReceiverCommand:
         argv += ["--phase-sigma", "0.1", "--seed", "3", "--n-b", "0.02", "--model", "both"]
         code, _, rows = run_to_file(["receiver"] + argv, tmp_path / "rx.csv")
         assert code == 0
-        cfg = ReceiverConfig(k=5, per_module_loss=0.93, phase_error_sigma=0.1, rng_seed=3)
-        out_field = apply_receiver(make_pattern(5, 7, 2.5), cfg)
+        out_field = apply_receiver(make_pattern(5, 7, 2.5), 0.93, 0.1, 3)
         # the CLI writes floats with repr, so the round trip is exact
         energies = [float(row["out_bin_energy"]) for row in rows]
         assert energies == np.sum(np.abs(out_field) ** 2, axis=0).tolist()
@@ -1177,9 +1175,8 @@ class TestReceiverCommand:
         argv = ["receiver", "--k", "4", "--target-bin", "9", "--energy", "0.3", "--loss", "0.95"]
         code, _, rows = run_to_file(argv + ["--phase-sigma", "0.2", "--seed", "6"], tmp_path / "rx.csv")
         assert code == 0
-        cfg = ReceiverConfig(k=4, per_module_loss=0.95, phase_error_sigma=0.2, rng_seed=6)
         pattern = make_pattern(4, 9, 0.3)
-        for side, field in (("in", pattern), ("out", apply_receiver(pattern, cfg))):
+        for side, field in (("in", pattern), ("out", apply_receiver(pattern, 0.95, 0.2, 6))):
             for pol, row in (("h", field[0]), ("v", field[1])):
                 written = [complex(float(r[f"{side}_re_{pol}"]), float(r[f"{side}_im_{pol}"])) for r in rows]
                 assert written == row.tolist(), (side, pol)
@@ -1209,7 +1206,7 @@ class TestReceiverCommand:
         meta, _ = parse_table(texts["1000000000"])
         assert meta["trials"] == "1000000000"
         assert texts["1"] == texts["1000000000"].replace("# trials = 1000000000", "# trials = 1")
-        exact = concentration_efficiency(ReceiverConfig(k=3, phase_error_sigma=0.1))
+        exact = concentration_efficiency(3, 0.1)
         assert (meta["concentration_mean"], meta["concentration_std"]) == tuple(map(repr, exact))
         assert float(meta["concentration_mean"]) == pytest.approx(0.9925373598, rel=1e-10)
 

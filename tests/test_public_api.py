@@ -35,6 +35,7 @@ RETIRED = {
     "detect_pattern": "the CLI forms the click column from the bin energies",
     "MutualInfoResult": "the MI functions return a float; capacity.pie gives bits per photon",
     "ClickProbabilities": "click_probs returns the pair (p_b, p_p)",
+    "ReceiverConfig": "the receiver functions take k, loss, sigma and seed as numbers",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)
@@ -70,3 +71,12 @@ def test_no_function_takes_link_budget_constants():
 def test_capacities_take_plain_photon_numbers():
     for function in (photonlink.shannon_capacity, photonlink.holevo_capacity):
         assert list(inspect.signature(function).parameters) == ["n_a", "n_b"]
+
+
+def test_receiver_functions_take_plain_numbers():
+    signatures = {
+        photonlink.apply_receiver: ["field", "per_module_loss", "phase_error_sigma", "rng_seed"],
+        photonlink.concentration_efficiency: ["k", "phase_error_sigma"],
+    }
+    for function, parameters in signatures.items():
+        assert list(inspect.signature(function).parameters) == parameters
