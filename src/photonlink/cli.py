@@ -9,7 +9,9 @@ Four subcommands:
                  click probabilities, exact concentration-efficiency statistics
 
 ``pie-sweep`` and ``link`` run one M search per scheme, holding the points
-of every noise model given.
+of every noise model given.  The tables come from the library's public
+functions: ``pie-sweep`` from ``optimize.sweep_pie``, and ``receiver``'s
+click columns from ``noise.click_probs`` on the bin energies.
 
 Each subcommand computes its columns and hands them to one output step.
 Output is CSV with a '#'-prefixed metadata header that echoes the command,
@@ -46,8 +48,8 @@ from .linkbudget import (
     noise_power_watts,
     regime_summary,
 )
-from .noise import GAUSS, POISSON, NoiseModel, _click_probs
-from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _no_optimum, _sweep
+from .noise import GAUSS, POISSON, NoiseModel, click_probs
+from .optimize import FLAG_FAILED, FLAG_OK, OOK, PPM, _no_optimum, sweep_pie
 from .receiver import (
     H,
     MAX_K,
@@ -272,7 +274,7 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
         # one search over every model; lists, not float64 arrays: on tables
         # this small, the writer's search for each array column's distinct
         # floats costs more than it saves
-        sweep = _sweep(n_a_grid, args.n_b, kinds, scheme)
+        sweep = sweep_pie(n_a_grid, args.n_b, kinds, scheme)
         table = {name: column.tolist() for name, column in sweep.items()}
         if any(flag != FLAG_OK for flag in table["flag"]):
             exit_code = 1
@@ -344,7 +346,7 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     columns = (
         [part for field in (pattern, out_field) for row in field for part in (row.real, row.imag)]
         + [energies]
-        + [_click_probs(model.kind, model.n_b, energies)[1] for model in models]
+        + [click_probs(model, energies)[1] for model in models]
     )
     names = (
         ["in_re_h", "in_im_h", "in_re_v", "in_im_v"]

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .noise import NoiseModel, _click_params, _one, click_probs
+from .noise import NoiseModel, _click_params, click_probs
 
 # smallest positive float: max(q, _TINY) is q for every q > 0
 _TINY = math.ulp(0.0)
@@ -109,6 +109,13 @@ def _ook_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
 def _check_n_a(n_a: float) -> None:
     if not math.isfinite(n_a) or n_a < 0.0:
         raise ValueError(f"n_a must be finite and >= 0, got {n_a!r}")
+
+
+def _one(x: float) -> np.ndarray:
+    # a point goes through the array kernels as one-element arrays, so a
+    # point and a grid run the same numpy loops and give the same bits; a
+    # 0-d array would not do, since _ppm_mi writes into base[1, 0]
+    return np.array([x], dtype=float)
 
 
 def _at_point(kernel, m_min: float, m: float, n_a: float, model: NoiseModel) -> float:

@@ -12,8 +12,9 @@ Two noise models are supported for a bin of mean background photon number
 The two models coincide exactly at n_b = 0 and to first order in small
 n_b and e_p.
 
-``click_probs`` checks one pulse energy and returns the pair (p_b, p_p)
-as floats.  The mutual-information kernels take the model as data:
+``click_probs`` checks a pulse energy, or an array of them, and returns
+the pair (p_b, p_p): p_b a float, p_p a float or an array shaped like the
+energies.  The mutual-information kernels take the model as data:
 ``_click_params`` computes each point's click parameters once, so one M
 search holds points of both models.
 """
@@ -54,16 +55,6 @@ def gaussian(n_b: float) -> NoiseModel:
     return NoiseModel(GAUSS, n_b)
 
 
-def _click_probs(kind: str, n_b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p_b, p_p) broadcast over ``n_b`` and pulse energies ``e``; no validation."""
-    if kind == POISSON:
-        return -np.expm1(-n_b), -np.expm1(-e - n_b)
-    # algebraically 1 - exp(-e_p/(n_b+1))/(n_b+1), arranged so that
-    # n_b = 0 reproduces the Poissonian expressions bit for bit
-    t = n_b + 1.0
-    return n_b / t, (n_b - np.expm1(-e / t)) / t
-
-
 def _click_params(kind: str, n_b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(p_b, 1 - p_b, log(1 - p_b), d) at each background in the array ``n_b``.
 
@@ -78,17 +69,27 @@ def _click_params(kind: str, n_b: np.ndarray) -> tuple[np.ndarray, ...]:
     return n_b / t, 1.0 / t, -np.log1p(n_b), -t
 
 
-def _one(x: float) -> np.ndarray:
-    # scalars go through the array kernels as one-element arrays, so a point
-    # and a grid run the same numpy loops and give the same bits
-    return np.array([x], dtype=float)
-
-
-def click_probs(model: NoiseModel, pulse_energy: float) -> tuple[float, float]:
+def click_probs(model: NoiseModel, pulse_energy):
     """Click probabilities (p_b, p_p) of an empty bin and of a bin carrying
-    a pulse of mean detected photon number ``pulse_energy`` >= 0; the
-    formulas give 0 <= p_b <= p_p <= 1."""
-    if not math.isfinite(pulse_energy) or pulse_energy < 0.0:
-        raise ValueError(f"pulse_energy must be finite and >= 0, got {pulse_energy!r}")
-    p_b, p_p = _click_probs(model.kind, _one(model.n_b), _one(pulse_energy))
-    return float(p_b[0]), float(p_p[0])
+    a pulse of mean detected photon number ``pulse_energy``.
+
+    ``pulse_energy`` is a float or an array of floats, each finite and
+    >= 0; a ValueError names the first that is not, as a float.  p_b is a
+    float; p_p is a float for a float and an array shaped like the input
+    for an array.  The formulas give 0 <= p_b <= p_p <= 1.
+    """
+    e = np.asarray(pulse_energy, dtype=float)
+    ok = np.isfinite(e) & (e >= 0.0)
+    if not ok.all():
+        raise ValueError(f"pulse_energy must be finite and >= 0, got {e.flat[ok.argmin()].item()!r}")
+    # a float goes through the formulas as a one-element array, so a point
+    # and an array run the same numpy loops and give the same bits
+    n_b, e_p = np.array([model.n_b]), np.atleast_1d(e)
+    if model.kind == POISSON:
+        p_b, p_p = -np.expm1(-n_b), -np.expm1(-e_p - n_b)
+    else:
+        # algebraically 1 - exp(-e_p/(n_b+1))/(n_b+1), arranged so that
+        # n_b = 0 reproduces the Poissonian expressions bit for bit
+        t = n_b + 1.0
+        p_b, p_p = n_b / t, (n_b - np.expm1(-e_p / t)) / t
+    return float(p_b[0]), (float(p_p[0]) if e.ndim == 0 else p_p)

@@ -13,8 +13,9 @@ its two neighbours, which converges superlinearly on a smooth peak (Brent,
 Algorithms for Minimization without Derivatives, 1973, ch. 5).  Every
 optimum goes through ``_maximize``, which checks its input, searches every
 point of a grid under each noise kind in lockstep, and flags each optimum,
-so a single point and a whole sweep take the same code path and give the
-same bits.  An optimum pinned at the upper search bound is flagged
+so a single point (``optimize_M``) and a whole sweep (``sweep_pie``, over
+any number of noise kinds) take the same code path and give the same
+bits.  An optimum pinned at the upper search bound is flagged
 "boundary" instead of raising, so sweeps can flag rather than abort.
 """
 
@@ -277,43 +278,6 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=_M_MAX):
     return m_star, mi_star, _FLAG_TEXT[np.where(failed, 2, at_boundary)]
 
 
-def _sweep(
-    n_a_grid: Sequence[float],
-    n_b_list: Sequence[float],
-    kinds: Sequence[str],
-    scheme: str,
-    m_max: float = _M_MAX,
-) -> dict[str, np.ndarray]:
-    """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
-    batch by ``_maximize``, which checks the kinds, the backgrounds, the
-    scheme and m_max.
-
-    Returns columns keyed by name, one entry per point with the kinds in
-    the given order and n_b, then n_a, ascending: float64 arrays ``n_a``
-    and ``n_b``, the str array ``model``, float64 arrays ``m_star``,
-    ``pie`` and ``pulse_energy``, then the str array ``flag``.  A point
-    whose optimization fails keeps NaN values and flag "failed"; a point
-    whose optimum sits on the m_max bound is flagged "boundary".
-    """
-    n_as = np.array(sorted(n_a_grid), dtype=float)
-    # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
-    n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0
-    points = len(n_as) * len(n_bs)
-    # the columns hold every kind's points in turn; the search takes one kind's
-    n_a = np.tile(n_as, len(n_bs) * len(kinds))
-    n_b = np.tile(np.repeat(n_bs, len(n_as)), len(kinds))
-    m_star, mi, flag = _maximize(n_a[:points], n_b[:points], kinds, scheme, m_max)
-    return {
-        "n_a": n_a,
-        "n_b": n_b,
-        "model": np.repeat(kinds, points),
-        "m_star": m_star,
-        "pie": mi / n_a,
-        "pulse_energy": m_star * n_a,
-        "flag": flag,
-    }
-
-
 def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX) -> ModulationOptimum:
     """Maximize mutual information per bin over the modulation parameter M.
 
@@ -350,18 +314,40 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX
 def sweep_pie(
     n_a_grid: Sequence[float],
     n_b_list: Sequence[float],
-    model_kind: str,
+    model_kinds: Sequence[str],
     scheme: str,
     m_max: float = _M_MAX,
 ) -> dict[str, np.ndarray]:
-    """Optimized efficiency over an (n_b, n_a) grid, searched in one batch.
+    """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
+    batch by ``_maximize``, which checks the kinds, the backgrounds, the
+    scheme and m_max.
 
-    Returns columns keyed by name, one entry per point in (n_b, n_a)
-    ascending order: float64 arrays ``n_a``, ``n_b``, ``m_star``, ``pie``
-    and ``pulse_energy``, then the str array ``flag``.  A point whose
-    optimization fails keeps NaN values and flag "failed"; a point whose
-    optimum sits on the m_max bound is flagged "boundary".
+    ``model_kinds`` is a sequence of noise kinds, such as ["poisson"] or
+    ["poisson", "gauss"]; a bare str is refused.
+
+    Returns columns keyed by name, one entry per point with the kinds in
+    the given order and n_b, then n_a, ascending: float64 arrays ``n_a``
+    and ``n_b``, the str array ``model``, float64 arrays ``m_star``,
+    ``pie`` and ``pulse_energy``, then the str array ``flag``.  A point
+    whose optimization fails keeps NaN values and flag "failed"; a point
+    whose optimum sits on the m_max bound is flagged "boundary".
     """
-    columns = _sweep(n_a_grid, n_b_list, [model_kind], scheme, m_max)
-    del columns["model"]
-    return columns
+    if isinstance(model_kinds, str):
+        raise ValueError(f"model_kinds must be a sequence of kinds, not the str {model_kinds!r}")
+    n_as = np.array(sorted(n_a_grid), dtype=float)
+    # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
+    n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0
+    points = len(n_as) * len(n_bs)
+    # the columns hold every kind's points in turn; the search takes one kind's
+    n_a = np.tile(n_as, len(n_bs) * len(model_kinds))
+    n_b = np.tile(np.repeat(n_bs, len(n_as)), len(model_kinds))
+    m_star, mi, flag = _maximize(n_a[:points], n_b[:points], model_kinds, scheme, m_max)
+    return {
+        "n_a": n_a,
+        "n_b": n_b,
+        "model": np.repeat(model_kinds, points),
+        "m_star": m_star,
+        "pie": mi / n_a,
+        "pulse_energy": m_star * n_a,
+        "flag": flag,
+    }

@@ -139,7 +139,8 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
     """
     k = _checked_k(k)
     n = 1 << k
-    if int(target_bin) != target_bin or not 0 <= target_bin < n:
+    # the range first: int() raises its own errors for inf and nan
+    if not 0 <= target_bin < n or int(target_bin) != target_bin:
         raise ValueError(f"target_bin must be an integer in [0, {n}), got {target_bin!r}")
     if not math.isfinite(total_energy) or total_energy <= 0.0:
         raise ValueError(f"total_energy must be > 0, got {total_energy!r}")

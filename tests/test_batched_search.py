@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from photonlink.linkbudget import AU_M, load_link_params, rate_vs_distance
 from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
-from photonlink.noise import MODEL_KINDS, NoiseModel, _click_params, _click_probs, click_probs
-from photonlink.optimize import OOK, PPM, SCHEMES, _sweep, optimize_M, sweep_pie
+from photonlink.noise import MODEL_KINDS, NoiseModel, _click_params, click_probs
+from photonlink.optimize import OOK, PPM, SCHEMES, optimize_M, sweep_pie
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 M_MIN = {PPM: 2.0, OOK: 1.0}
@@ -117,11 +117,28 @@ def test_broadcast_kernels_equal_the_scalar_functions(case):
     st.lists(N_B, min_size=1, max_size=4),
     st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=6),
 )
-def test_broadcast_click_kernel_equals_click_probs(kind, n_bs, energies):
-    p_b, p_p = _click_probs(kind, np.array(n_bs)[:, None], np.array(energies)[None, :])
-    for i, n_b in enumerate(n_bs):
-        for j, e in enumerate(energies):
-            assert (p_b[i, 0], p_p[i, j]) == click_probs(NoiseModel(kind, n_b), e)
+def test_click_probs_of_an_array_equals_the_float_calls(kind, n_bs, energies):
+    for n_b in n_bs:
+        model = NoiseModel(kind, n_b)
+        p_b, p_p = click_probs(model, np.array(energies))
+        assert [(p_b, p) for p in p_p.tolist()] == [click_probs(model, e) for e in energies]
+
+
+EDGE_ENERGIES = [0.0, 5e-324, 1e-300, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("n_b", [0.0, 5e-324, 1e-2, 37.0, 1e300])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_click_probs_of_1d_and_2d_arrays_keep_the_float_bits(kind, n_b):
+    model = NoiseModel(kind, n_b)
+    row = np.array(EDGE_ENERGIES)
+    for energies in (row, np.stack([row, row[::-1]])):
+        p_b, p_p = click_probs(model, energies)
+        assert type(p_b) is float and p_p.shape == energies.shape
+        pairs = [click_probs(model, e) for e in energies.ravel().tolist()]
+        assert all(type(q_b) is float and type(q_p) is float for q_b, q_p in pairs)
+        assert (np.array([q_b for q_b, _ in pairs]).view(np.int64) == np.array(p_b).view(np.int64)).all()
+        assert (np.array([q_p for _, q_p in pairs]).view(np.int64) == p_p.ravel().view(np.int64)).all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,9 +149,10 @@ def test_broadcast_click_kernel_equals_click_probs(kind, n_bs, energies):
     st.lists(N_B, min_size=1, max_size=2),
 )
 def test_sweep_rows_equal_single_optimizations(scheme, kind, n_as, n_bs):
-    sweep = {name: column.tolist() for name, column in sweep_pie(n_as, n_bs, kind, scheme).items()}
+    sweep = {name: column.tolist() for name, column in sweep_pie(n_as, n_bs, [kind], scheme).items()}
     assert len(sweep["flag"]) == len(n_as) * len(n_bs)
-    for n_a, n_b, m_star, pie, pulse_energy, flag in zip(*sweep.values()):
+    for n_a, n_b, model, m_star, pie, pulse_energy, flag in zip(*sweep.values()):
+        assert model == kind
         opt = optimize_M(n_a, NoiseModel(kind, n_b), scheme)
         assert (m_star, pie, pulse_energy) == (opt.m_star, opt.pie_star, opt.pulse_energy)
         assert flag == ("boundary" if opt.at_boundary else "ok")
@@ -173,8 +191,8 @@ def test_link_rows_equal_single_optimizations(scheme, kind, config, n_b, r_au):
 def test_one_search_over_both_models_equals_one_per_model(scheme, n_as, n_bs):
     # the noise kind is per-point data, so points of both kinds can share
     # a block of the lockstep search and still give each kind's own bits
-    both = _sweep(n_as, n_bs, MODEL_KINDS, scheme)
-    per_kind = [sweep_pie(n_as, n_bs, kind, scheme) for kind in MODEL_KINDS]
-    assert both["model"].tolist() == [kind for kind in MODEL_KINDS for _ in range(len(n_as) * len(n_bs))]
-    for name, column in per_kind[0].items():
-        assert both[name].tolist() == [x for sweep in per_kind for x in sweep[name].tolist()], name
+    both = sweep_pie(n_as, n_bs, MODEL_KINDS, scheme)
+    per_kind = [sweep_pie(n_as, n_bs, [kind], scheme) for kind in MODEL_KINDS]
+    assert list(both) == list(per_kind[0])
+    for name, column in both.items():
+        assert column.tolist() == [x for sweep in per_kind for x in sweep[name].tolist()], name

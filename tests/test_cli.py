@@ -561,7 +561,7 @@ class TestOneSearchPerScheme:
         assert searches == [1]
 
     def test_sweep_pie_searches_its_grid_at_once(self, searches):
-        optimize.sweep_pie([1e-6, 1e-4, 1e-3, 1e-2], [1e-2, 0.0], "gauss", OOK)
+        optimize.sweep_pie([1e-6, 1e-4, 1e-3, 1e-2], [1e-2, 0.0], ["gauss"], OOK)
         assert searches == [8]
 
     def test_rate_vs_distance_searches_its_grid_at_once(self, searches):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +67,14 @@ class TestClickProbs:
     def test_rejects_bad_pulse_energy(self, bad):
         with pytest.raises(ValueError):
             click_probs(poissonian(0.1), bad)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_rejects_an_array_naming_its_first_bad_energy(self, bad, shape):
+        energies = np.array([0.0, 1.0, bad, -7.0]).reshape(shape)
+        with pytest.raises(ValueError) as excinfo:
+            click_probs(poissonian(0.1), energies)
+        assert str(excinfo.value) == f"pulse_energy must be finite and >= 0, got {bad!r}"
 
     def test_tiny_background_keeps_precision(self):
         # p_b at n_b = 1e-4 must carry full relative precision, which a

@@ -81,12 +81,17 @@ class TestOptimizeDomain:
 
     def test_sweep_rejects_unknown_kind(self):
         with pytest.raises(ValueError) as excinfo:
-            sweep_pie([1e-3], [0.1], "thermal", PPM)
+            sweep_pie([1e-3], [0.1], ["thermal"], PPM)
         assert str(excinfo.value) == "kind must be one of ('poisson', 'gauss'), got 'thermal'"
+
+    def test_sweep_refuses_a_bare_kind_by_name(self):
+        with pytest.raises(ValueError) as excinfo:
+            sweep_pie([1e-3], [0.1], "poisson", PPM)
+        assert str(excinfo.value) == "model_kinds must be a sequence of kinds, not the str 'poisson'"
 
     def test_sweep_checks_background_before_scheme(self):
         with pytest.raises(ValueError) as excinfo:
-            sweep_pie([1e-3], [-1.0], "poisson", "psk")
+            sweep_pie([1e-3], [-1.0], ["poisson"], "psk")
         assert str(excinfo.value) == "n_b must be finite and >= 0, got -1.0"
 
 
@@ -114,7 +119,7 @@ class TestNegativeZeroBackground:
         grid = [1e-5, 1e-3, 1e-1]
         # numpy's array repr rounds, so the columns are compared as floats
         neg_sweep, pos_sweep = (
-            {name: column.tolist() for name, column in sweep_pie(grid, [1e-2, n_b], kind, scheme).items()}
+            {name: column.tolist() for name, column in sweep_pie(grid, [1e-2, n_b], [kind], scheme).items()}
             for n_b in (-0.0, 0.0)
         )
         assert repr(neg_sweep) == repr(pos_sweep)
@@ -377,8 +382,8 @@ class TestSearchCost:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_48_point_sweep(self, evaluations, scheme):
-        sweep = sweep_pie(np.geomspace(1e-10, 1.0, 12), [0.0, 1e-6, 1e-2, 1e2], "gauss", scheme)
-        assert [len(column) for column in sweep.values()] == [48] * 6
+        sweep = sweep_pie(np.geomspace(1e-10, 1.0, 12), [0.0, 1e-6, 1e-2, 1e2], ["gauss"], scheme)
+        assert [len(column) for column in sweep.values()] == [48] * 7
         assert len(evaluations) <= 4
         assert sum(evaluations) <= (63 + 3 * 57) * 48
 
@@ -416,13 +421,14 @@ class TestOokLowSignalRegression:
 
 class TestSweep:
     def test_columns_and_their_order(self):
-        sweep = sweep_pie([1e-3, 1e-5, 1e-4], [1e-2, 1e-4], "poisson", OOK)
-        assert list(sweep) == ["n_a", "n_b", "m_star", "pie", "pulse_energy", "flag"]
-        assert all(column.dtype == np.float64 for column in list(sweep.values())[:-1])
-        assert sweep["flag"].dtype.kind == "U"
+        sweep = sweep_pie([1e-3, 1e-5, 1e-4], [1e-2, 1e-4], ["poisson"], OOK)
+        assert list(sweep) == ["n_a", "n_b", "model", "m_star", "pie", "pulse_energy", "flag"]
+        assert all(sweep[name].dtype == np.float64 for name in ("n_a", "n_b", "m_star", "pie", "pulse_energy"))
+        assert sweep["model"].dtype.kind == sweep["flag"].dtype.kind == "U"
+        assert sweep["model"].tolist() == ["poisson"] * 6
 
     def test_rows_ordered_by_background_then_signal(self):
-        sweep = sweep_pie([1e-3, 1e-5, 1e-4], [1e-2, 1e-4], "poisson", OOK)
+        sweep = sweep_pie([1e-3, 1e-5, 1e-4], [1e-2, 1e-4], ["poisson"], OOK)
         key = list(zip(sweep["n_b"].tolist(), sweep["n_a"].tolist()))
         assert key == sorted(key)
         assert all(flag == FLAG_OK for flag in sweep["flag"])
@@ -430,13 +436,13 @@ class TestSweep:
     def test_ppm_efficiency_peaks_near_the_background_level(self):
         n_b = 1e-2
         grid = np.geomspace(1e-6, 1e-1, 26)
-        sweep = sweep_pie(grid, [n_b], "poisson", PPM)
+        sweep = sweep_pie(grid, [n_b], ["poisson"], PPM)
         best = sweep["pie"].argmax()
         assert 0 < best < len(grid) - 1  # interior maximum
         assert n_b / 10.0 <= sweep["n_a"][best] <= n_b * 10.0
 
     def test_failed_point_is_marked_not_fatal(self):
-        sweep = sweep_pie([1e-4, 0.0], [1e-2], "poisson", OOK)
+        sweep = sweep_pie([1e-4, 0.0], [1e-2], ["poisson"], OOK)
         # rows in n_a order: 0.0 first
         assert sweep["n_a"].tolist() == [0.0, 1e-4]
         assert sweep["flag"].tolist() == [FLAG_FAILED, FLAG_OK]
@@ -444,26 +450,26 @@ class TestSweep:
         assert sweep["pie"][1] > 0.0
 
     def test_boundary_point_is_flagged(self):
-        sweep = sweep_pie([1e-3], [1e-2], "poisson", PPM, m_max=50.0)
+        sweep = sweep_pie([1e-3], [1e-2], ["poisson"], PPM, m_max=50.0)
         assert sweep["flag"][0] == FLAG_BOUNDARY
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_background_noise_only_hurts(self, scheme, kind):
         for n_a in (1e-5, 1e-3):
-            pies = sweep_pie([n_a], [1e-4, 1e-3, 1e-2, 1e-1], kind, scheme)["pie"].tolist()
+            pies = sweep_pie([n_a], [1e-4, 1e-3, 1e-2, 1e-1], [kind], scheme)["pie"].tolist()
             assert all(a >= b for a, b in zip(pies, pies[1:]))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_ook_outperforms_ppm_everywhere_sampled(self, kind):
         grid = [1e-6, 1e-4, 1e-2]
         backgrounds = [1e-3, 1e-1]
-        ook_pies = sweep_pie(grid, backgrounds, kind, OOK)["pie"]
-        ppm_pies = sweep_pie(grid, backgrounds, kind, PPM)["pie"]
+        ook_pies = sweep_pie(grid, backgrounds, [kind], OOK)["pie"]
+        ppm_pies = sweep_pie(grid, backgrounds, [kind], PPM)["pie"]
         assert len(ook_pies) == len(ppm_pies) == 6
         assert all(ook_pies >= ppm_pies)
 
     def test_ook_stays_below_the_holevo_limit(self):
-        sweep = sweep_pie([1e-6], [1e-1, 1e-2, 1e-3, 1e-4], "gauss", OOK)
+        sweep = sweep_pie([1e-6], [1e-1, 1e-2, 1e-3, 1e-4], ["gauss"], OOK)
         for pie, n_b in zip(sweep["pie"].tolist(), sweep["n_b"].tolist()):
             assert pie < holevo_pie_asymptote(n_b)

@@ -36,6 +36,8 @@ RETIRED = {
     "MutualInfoResult": "the MI functions return a float; capacity.pie gives bits per photon",
     "ClickProbabilities": "click_probs returns the pair (p_b, p_p)",
     "ReceiverConfig": "the receiver functions take k, loss, sigma and seed as numbers",
+    "_sweep": "sweep_pie takes a sequence of noise kinds",
+    "_click_probs": "click_probs takes a float or an array of pulse energies",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)
@@ -77,6 +79,15 @@ def test_receiver_functions_take_plain_numbers():
     signatures = {
         photonlink.apply_receiver: ["field", "per_module_loss", "phase_error_sigma", "rng_seed"],
         photonlink.concentration_efficiency: ["k", "phase_error_sigma"],
+    }
+    for function, parameters in signatures.items():
+        assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_sweep_and_click_functions_take_the_grid_and_the_array():
+    signatures = {
+        photonlink.sweep_pie: ["n_a_grid", "n_b_list", "model_kinds", "scheme", "m_max"],
+        photonlink.click_probs: ["model", "pulse_energy"],
     }
     for function, parameters in signatures.items():
         assert list(inspect.signature(function).parameters) == parameters

@@ -222,9 +222,9 @@ class TestMakePattern:
         gram = flat @ flat.conj().T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
-    @pytest.mark.parametrize("target", [-1, 4, 1.5])
+    @pytest.mark.parametrize("target", [-1, 4, 1.5, float("inf"), float("-inf"), float("nan")])
     def test_rejects_bad_target(self, target):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"target_bin must be an integer in [0, 4), got {target!r}")):
             make_pattern(2, target)
 
     def test_rejects_bad_energy(self):
