@@ -19,11 +19,7 @@ from .linkbudget import (
     received_photon_number,
     transmitter_peak_power,
 )
-from .modulation import (
-    ook_mi_per_bin,
-    ppm_mi_enumeration_oracle,
-    ppm_mi_per_bin,
-)
+from .modulation import ook_mi_per_bin, ppm_mi_per_bin
 from .noise import NoiseModel, click_probs, gaussian, poissonian
 from .optimize import ModulationOptimum, optimize_M, sweep_pie
 from .receiver import (
@@ -48,7 +44,6 @@ __all__ = [
     "poissonian",
     "gaussian",
     "ppm_mi_per_bin",
-    "ppm_mi_enumeration_oracle",
     "ook_mi_per_bin",
     "ModulationOptimum",
     "optimize_M",

@@ -340,8 +340,12 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     out_field = apply_receiver(pattern, args.loss, args.phase_sigma, args.seed)
     mean, std = concentration_efficiency(args.k, args.phase_sigma)
 
-    # each bin's detector sees the energy of both polarizations
-    energies = np.abs(out_field[H]) ** 2 + np.abs(out_field[V]) ** 2
+    # each bin's detector sees the energy of both polarizations; a sum
+    # within a few ulps of the float maximum can overflow
+    with np.errstate(over="ignore"):
+        energies = np.abs(out_field[H]) ** 2 + np.abs(out_field[V]) ** 2
+    if not np.isfinite(energies).all():
+        raise ValueError(f"--energy {args.energy!r} overflows the output bin energies")
     # the rows H and V of each field as float columns re_h, im_h, re_v, im_v
     columns = (
         [part for field in (pattern, out_field) for row in field for part in (row.real, row.imag)]

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import holevo_capacity, shannon_capacity
-from .noise import NoiseModel
+from .noise import NoiseModel, _checked
 from .optimize import FLAG_FAILED, _maximize, _no_optimum, _searchable
 
 
@@ -192,10 +192,7 @@ def _distance_sweep(
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
     # the columns hold every kind's points in turn; a search takes one kind's
-    r_m = np.array(r_grid_m * len(kinds), dtype=float)
-    bad = ~(np.isfinite(r_m) & (r_m > 0.0))
-    if bad.any():
-        raise ValueError(f"distance_m must be finite and > 0, got {r_m[bad.argmax()].item()!r}")
+    r_m = _checked("distance_m", r_grid_m * len(kinds), strict=True)
     # eta_ch and n_a overflow to inf at a tiny distance; the search then
     # fails that point
     with np.errstate(over="ignore"):

@@ -10,9 +10,10 @@ exactly one bin clicked, anything else is an erasure.  OOK is the
 generalized on-off keying channel with on-probability 1/M and soft
 (per-bin) decoding.
 
-``ppm_mi_per_bin`` and ``ook_mi_per_bin`` check one point and return its
-mutual information per bin in bits as a float; the efficiency in bits per
-photon is ``capacity.pie(mi, n_a)``.
+``ppm_mi_per_bin`` and ``ook_mi_per_bin`` take M and n_a as floats or
+arrays that broadcast together and return the mutual information per bin in
+bits, a float for a point; the efficiency in bits per photon is
+``capacity.pie(mi, n_a)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .noise import NoiseModel, _click_params, click_probs
+from .noise import NoiseModel, _checked, _click_params
 
 # smallest positive float: max(q, _TINY) is q for every q > 0
 _TINY = math.ulp(0.0)
@@ -106,81 +107,39 @@ def _ook_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
     return _information(base, k) * _LOG2_E
 
 
-def _check_n_a(n_a: float) -> None:
-    if not math.isfinite(n_a) or n_a < 0.0:
-        raise ValueError(f"n_a must be finite and >= 0, got {n_a!r}")
-
-
-def _one(x: float) -> np.ndarray:
-    # a point goes through the array kernels as one-element arrays, so a
-    # point and a grid run the same numpy loops and give the same bits; a
-    # 0-d array would not do, since _ppm_mi writes into base[1, 0]
-    return np.array([x], dtype=float)
-
-
-def _at_point(kernel, m_min: float, m: float, n_a: float, model: NoiseModel) -> float:
-    if not math.isfinite(m) or m < m_min:
-        raise ValueError(f"M must be finite and >= {m_min}, got {m!r}")
-    _check_n_a(n_a)
+def _mi_per_bin(kernel, m_min: float, m, n_a, model: NoiseModel):
+    m, n_a = _checked("M", m, m_min), _checked("n_a", n_a)
+    # the click parameters stay one-element arrays, as in a search, so a
+    # point and a grid run the same numpy loops and give the same bits
+    clicks = _click_params(model.kind, np.array([model.n_b]))
     # the errstate of optimize._maximize: (M - 1) log(1 - p_b) overflows to
     # -inf, the right limit, where a Poisson n_b is above about 1.8e299
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(kernel(_one(m), _one(n_a), _click_params(model.kind, _one(model.n_b)))[0])
+        mi = kernel(m, n_a, clicks)
+    return mi.item() if m.ndim == n_a.ndim == 0 else mi
 
 
-def ppm_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> float:
+def ppm_mi_per_bin(m, n_a, model: NoiseModel):
     """Mutual information of simple-decoded PPM with frame length ``m``, in
     bits per bin of the frame; m >= 2 (continuous), n_a >= 0.
 
     A frame of m bins carries one pulse of energy e_p = m * n_a.  The
     decoder outputs the pulse position when exactly one bin clicked and an
     erasure otherwise.
+
+    ``m`` and ``n_a`` are floats, giving a float, or arrays that broadcast
+    together; a ValueError names the first value out of range, as a float.
     """
-    return _at_point(_ppm_mi, 2.0, m, n_a, model)
+    return _mi_per_bin(_ppm_mi, 2.0, m, n_a, model)
 
 
-def ook_mi_per_bin(m: float, n_a: float, model: NoiseModel) -> float:
+def ook_mi_per_bin(m, n_a, model: NoiseModel):
     """Mutual information of generalized OOK with on-probability 1/``m``, in
     bits per bin; m >= 1 (continuous), n_a >= 0.
 
     Each bin independently carries a pulse of energy e_p = m * n_a with
     probability 1/m.  This is the full binary asymmetric channel between
     the pulse bit and the click bit, with no erasure post-processing.
+    ``m``, ``n_a`` and the result are as for ``ppm_mi_per_bin``.
     """
-    return _at_point(_ook_mi, 1.0, m, n_a, model)
-
-
-def ppm_mi_enumeration_oracle(m: int, n_a: float, model: NoiseModel) -> float:
-    """Simple-decoded PPM mutual information in bits per frame, by
-    exhaustive enumeration; m an integer in [2, 12], n_a >= 0.
-
-    Walks all 2**m click patterns for every pulse position, applies the
-    single-click decoding rule and evaluates the mutual information of the
-    resulting (position, decision) joint distribution.  Exponential in m,
-    intended as an independent cross-check of ``ppm_mi_per_bin``.
-    """
-    # the range first: int() raises its own errors for inf and nan
-    if not 2 <= m <= 12 or int(m) != m:
-        raise ValueError(f"enumeration oracle requires integer 2 <= m <= 12, got {m!r}")
-    m = int(m)
-    _check_n_a(n_a)
-    p_b, p_p = click_probs(model, m * n_a)
-
-    clicks = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
-    single = clicks.sum(axis=1) == 1
-    click_pos = np.argmax(clicks, axis=1)
-
-    # joint distribution over (pulse position, decoder output); column m is erasure
-    joint = np.zeros((m, m + 1))
-    for i in range(m):
-        per_bin = np.full(m, p_b)
-        per_bin[i] = p_p
-        pattern_prob = np.prod(np.where(clicks, per_bin, 1.0 - per_bin), axis=1)
-        for y in range(m):
-            joint[i, y] = pattern_prob[single & (click_pos == y)].sum()
-        joint[i, m] = pattern_prob[~single].sum()
-    joint /= m
-
-    product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-    mass = joint > 0.0
-    return max(float(np.sum(joint[mass] * np.log2(joint[mass] / product[mass]))), 0.0)
+    return _mi_per_bin(_ook_mi, 1.0, m, n_a, model)

@@ -14,9 +14,11 @@ n_b and e_p.
 
 ``click_probs`` checks a pulse energy, or an array of them, and returns
 the pair (p_b, p_p): p_b a float, p_p a float or an array shaped like the
-energies.  The mutual-information kernels take the model as data:
-``_click_params`` computes each point's click parameters once, so one M
-search holds points of both models.
+energies.  ``_checked`` is the one check of every array input: finite, at
+least (or above) a bound, else a ValueError naming the first bad value.
+The mutual-information kernels take the model as data: ``_click_params``
+computes each point's click parameters once, so one M search holds points
+of both models.
 """
 
 from __future__ import annotations
@@ -69,6 +71,17 @@ def _click_params(kind: str, n_b: np.ndarray) -> tuple[np.ndarray, ...]:
     return n_b / t, 1.0 / t, -np.log1p(n_b), -t
 
 
+def _checked(name: str, values, low: float = 0, strict: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, or a ValueError naming, as a float, the
+    first that is not finite and >= ``low`` (> ``low`` where ``strict``)."""
+    values = np.asarray(values, dtype=float)
+    ok = np.isfinite(values) & ((values > low) if strict else (values >= low))
+    if not ok.all():
+        op = ">" if strict else ">="
+        raise ValueError(f"{name} must be finite and {op} {low}, got {values.flat[ok.argmin()].item()!r}")
+    return values
+
+
 def click_probs(model: NoiseModel, pulse_energy):
     """Click probabilities (p_b, p_p) of an empty bin and of a bin carrying
     a pulse of mean detected photon number ``pulse_energy``.
@@ -78,10 +91,7 @@ def click_probs(model: NoiseModel, pulse_energy):
     float; p_p is a float for a float and an array shaped like the input
     for an array.  The formulas give 0 <= p_b <= p_p <= 1.
     """
-    e = np.asarray(pulse_energy, dtype=float)
-    ok = np.isfinite(e) & (e >= 0.0)
-    if not ok.all():
-        raise ValueError(f"pulse_energy must be finite and >= 0, got {e.flat[ok.argmin()].item()!r}")
+    e = _checked("pulse_energy", pulse_energy)
     # a float goes through the formulas as a one-element array, so a point
     # and an array run the same numpy loops and give the same bits
     n_b, e_p = np.array([model.n_b]), np.atleast_1d(e)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .capacity import pie
 from .modulation import _ook_mi, _ppm_mi
-from .noise import MODEL_KINDS, NoiseModel, _click_params
+from .noise import MODEL_KINDS, NoiseModel, _checked, _click_params
 
 PPM = "ppm"
 OOK = "ook"
@@ -207,10 +207,7 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=_M_MAX):
         if kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
     # -0.0 passes, but its click probabilities are -0.0 and the kernels divide by them
-    n_b = np.asarray(n_b, dtype=float) + 0.0
-    ok = np.isfinite(n_b) & (n_b >= 0.0)
-    if not ok.all():
-        raise ValueError(f"n_b must be finite and >= 0, got {n_b[ok.argmin()].item()!r}")
+    n_b = _checked("n_b", n_b) + 0.0
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not math.isfinite(m_max) or m_max <= _M_MIN[scheme]:
@@ -323,7 +320,7 @@ def sweep_pie(
     scheme and m_max.
 
     ``model_kinds`` is a sequence of noise kinds, such as ["poisson"] or
-    ["poisson", "gauss"]; a bare str is refused.
+    ["poisson", "gauss"]; a bare str or an empty sequence is refused.
 
     Returns columns keyed by name, one entry per point with the kinds in
     the given order and n_b, then n_a, ascending: float64 arrays ``n_a``
@@ -334,6 +331,8 @@ def sweep_pie(
     """
     if isinstance(model_kinds, str):
         raise ValueError(f"model_kinds must be a sequence of kinds, not the str {model_kinds!r}")
+    if len(model_kinds) == 0:
+        raise ValueError("model_kinds must hold at least one kind, got none")
     n_as = np.array(sorted(n_a_grid), dtype=float)
     # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
     n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0

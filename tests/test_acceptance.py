@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from enumeration_oracle import ppm_mi_enumeration_oracle
 from photonlink.capacity import holevo_pie_asymptote, shannon_pie_asymptote
 from photonlink.linkbudget import (
     AU_M,
@@ -19,7 +20,7 @@ from photonlink.linkbudget import (
     rate_vs_distance,
     regime_summary,
 )
-from photonlink.modulation import ppm_mi_per_bin, ppm_mi_enumeration_oracle
+from photonlink.modulation import ppm_mi_per_bin
 from photonlink.noise import (
     GAUSS,
     POISSON,

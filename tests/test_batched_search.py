@@ -3,6 +3,7 @@ one-path property: array kernels, scalar functions, single optimizations,
 sweeps and link rows give the same bits."""
 
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -139,6 +140,73 @@ def test_click_probs_of_1d_and_2d_arrays_keep_the_float_bits(kind, n_b):
         assert all(type(q_b) is float and type(q_p) is float for q_b, q_p in pairs)
         assert (np.array([q_b for q_b, _ in pairs]).view(np.int64) == np.array(p_b).view(np.int64)).all()
         assert (np.array([q_p for _, q_p in pairs]).view(np.int64) == p_p.ravel().view(np.int64)).all()
+
+
+MI_FUNCTIONS = {PPM: ppm_mi_per_bin, OOK: ook_mi_per_bin}
+EDGE_BACKGROUNDS = [0.0, 5e-324, 1e-2, 37.0, 1e2, 1e300]
+GRID_M = {PPM: [2.0, 3.5, 101.0, 1e9], OOK: [1.0, 1.5, 101.0, 1e9]}
+GRID_N_A = [0.0, 5e-324, 1e-10, 1e-3, 1.0]
+
+
+@pytest.mark.parametrize("n_b", EDGE_BACKGROUNDS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mi_of_1d_and_2d_grids_keeps_the_float_bits(scheme, kind, n_b):
+    mi, model = MI_FUNCTIONS[scheme], NoiseModel(kind, n_b)
+    ms, n_as = np.array(GRID_M[scheme]), np.array(GRID_N_A)
+    grids = [(ms, n_as[3]), (ms[0], n_as), (ms, n_as[1:]), (ms[:, None], n_as), (ms.reshape(2, 2), n_as[1:3])]
+    for m, n_a in grids:
+        values = mi(m, n_a, model)
+        assert values.shape == np.broadcast_shapes(np.shape(m), np.shape(n_a))
+        points = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(m, n_a)))
+        floats = [mi(m_i, n_a_i, model) for m_i, n_a_i in points]
+        assert all(type(value) is float for value in floats)
+        assert (np.array(floats).view(np.int64) == values.ravel().view(np.int64)).all()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mi_of_a_float_is_a_float_and_of_an_empty_array_is_empty(scheme):
+    mi, model = MI_FUNCTIONS[scheme], NoiseModel("gauss", 1e-2)
+    assert type(mi(3.0, 1e-3, model)) is float
+    assert type(mi(np.float64(3.0), np.array(1e-3), model)) is float
+    assert mi(np.array([]), 1e-3, model).shape == (0,)
+    assert mi(3.0, np.array([]), model).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "m, n_a, message",
+    [
+        ([3.0, math.nan], 0.1, "M must be finite and >= {m_min}, got nan"),
+        ([3.0, math.inf], 0.1, "M must be finite and >= {m_min}, got inf"),
+        (-1, 0.1, "M must be finite and >= {m_min}, got -1.0"),
+        ([[3.0, 4.0], [0.5, -2.0]], 0.1, "M must be finite and >= {m_min}, got 0.5"),
+        (3.0, [0.1, -0.5], "n_a must be finite and >= 0, got -0.5"),
+        (3.0, [[0.1], [math.nan]], "n_a must be finite and >= 0, got nan"),
+        ([3.0], -math.inf, "n_a must be finite and >= 0, got -inf"),
+    ],
+)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mi_names_the_first_bad_entry_as_a_float(scheme, m, n_a, message):
+    with pytest.raises(ValueError) as excinfo:
+        MI_FUNCTIONS[scheme](np.array(m), np.array(n_a), NoiseModel("poisson", 0.0))
+    assert str(excinfo.value) == message.format(m_min=M_MIN[scheme])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mi_below_the_least_m_names_it(scheme):
+    below = math.nextafter(M_MIN[scheme], 0.0)
+    with pytest.raises(ValueError) as excinfo:
+        MI_FUNCTIONS[scheme]([M_MIN[scheme], below], 1e-3, NoiseModel("gauss", 1.0))
+    assert str(excinfo.value) == f"M must be finite and >= {M_MIN[scheme]}, got {below!r}"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mi_at_the_largest_poisson_background_raises_no_warning(scheme):
+    # (M - 1) log(1 - p_b) overflows to -inf there, which is the right limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = MI_FUNCTIONS[scheme](np.array(GRID_M[scheme])[:, None], GRID_N_A, NoiseModel("poisson", 1e300))
+    assert (values == 0.0).all()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1292,6 +1292,25 @@ class TestReceiverCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("k", ["1", "10", "16"])
+    def test_overflowing_bin_energy_is_refused_by_option(self, k, tmp_path, capsys):
+        # it warned "overflow encountered in square" (an error under this
+        # suite's filterwarnings) and named pulse_energy, which is no option
+        argv = ["receiver", "--k", k, "--energy", "1.7976931348623157e308"]
+        argv += ["--out", str(tmp_path / "rx.csv"), "--pattern-out", str(tmp_path / "p.txt")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "photonlink receiver: error: --energy 1.7976931348623157e+308 overflows the output bin energies\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_energy_that_fits_still_runs(self, tmp_path):
+        path = tmp_path / "rx.csv"
+        assert cli.main(["receiver", "--k", "3", "--energy", "1.7e308", "--out", str(path)]) == 0
+        _, rows = parse_table(path.read_text(encoding="utf-8"))
+        assert float(rows[0]["out_bin_energy"]) == pytest.approx(1.7e308, rel=1e-14)
+        assert [float(row["click_prob_poisson"]) for row in rows] == [1.0] + [0.0] * 7
+
     def test_bad_loss_is_a_usage_error(self, capsys):
         assert cli.main(["receiver", "--loss", "0"]) == 2
         assert "error" in capsys.readouterr().err

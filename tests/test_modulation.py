@@ -14,14 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mp_reference
+from enumeration_oracle import ppm_mi_enumeration_oracle
 from photonlink.capacity import pie
-from photonlink.modulation import (
-    _ook_mi,
-    _ppm_mi,
-    ook_mi_per_bin,
-    ppm_mi_enumeration_oracle,
-    ppm_mi_per_bin,
-)
+from photonlink.modulation import _ook_mi, _ppm_mi, ook_mi_per_bin, ppm_mi_per_bin
 from photonlink.noise import (
     GAUSS,
     MODEL_KINDS,

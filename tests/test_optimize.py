@@ -84,10 +84,18 @@ class TestOptimizeDomain:
             sweep_pie([1e-3], [0.1], ["thermal"], PPM)
         assert str(excinfo.value) == "kind must be one of ('poisson', 'gauss'), got 'thermal'"
 
-    def test_sweep_refuses_a_bare_kind_by_name(self):
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("poisson", "model_kinds must be a sequence of kinds, not the str 'poisson'"),
+            ([], "model_kinds must hold at least one kind, got none"),
+            ((), "model_kinds must hold at least one kind, got none"),
+        ],
+    )
+    def test_sweep_refuses_a_bare_kind_or_none_by_name(self, kinds, message):
         with pytest.raises(ValueError) as excinfo:
-            sweep_pie([1e-3], [0.1], "poisson", PPM)
-        assert str(excinfo.value) == "model_kinds must be a sequence of kinds, not the str 'poisson'"
+            sweep_pie([1e-3], [0.1], kinds, PPM)
+        assert str(excinfo.value) == message
 
     def test_sweep_checks_background_before_scheme(self):
         with pytest.raises(ValueError) as excinfo:

@@ -38,6 +38,10 @@ RETIRED = {
     "ReceiverConfig": "the receiver functions take k, loss, sigma and seed as numbers",
     "_sweep": "sweep_pie takes a sequence of noise kinds",
     "_click_probs": "click_probs takes a float or an array of pulse energies",
+    "ppm_mi_enumeration_oracle": "a test oracle, in tests/enumeration_oracle.py",
+    "_one": "the MI functions take floats or arrays",
+    "_at_point": "the MI functions take floats or arrays",
+    "_check_n_a": "noise._checked checks every array input",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)
@@ -91,3 +95,8 @@ def test_sweep_and_click_functions_take_the_grid_and_the_array():
     }
     for function, parameters in signatures.items():
         assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_mi_functions_take_the_point_or_the_grid():
+    for function in (photonlink.ppm_mi_per_bin, photonlink.ook_mi_per_bin):
+        assert list(inspect.signature(function).parameters) == ["m", "n_a", "model"]
