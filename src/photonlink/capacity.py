@@ -18,11 +18,6 @@ LOG2_E = math.log2(math.e)
 _SCALE = 600
 
 
-def _log2_1p(u: float) -> float:
-    # log2(1 + u) without cancellation for u near 0
-    return math.log1p(u) * LOG2_E
-
-
 def _check_photon_numbers(n_a: float, n_b: float) -> None:
     for name, value in (("n_a", n_a), ("n_b", n_b)):
         if not math.isfinite(value) or value < 0.0:
@@ -49,7 +44,7 @@ def g(x: float) -> float:
 def _shannon(n_a: float, n_b: float) -> float:
     q = n_a / (n_b + 1.0)
     if q >= sys.float_info.min:
-        return _log2_1p(q)
+        return math.log1p(q) * LOG2_E
     # log1p(q) = q, and a subnormal q has lost digits
     return math.ldexp(math.ldexp(n_a, _SCALE) / (n_b + 1.0) * LOG2_E, -_SCALE)
 
@@ -140,7 +135,8 @@ def holevo_pie_asymptote(n_b: float) -> float:
     """
     if not math.isfinite(n_b) or n_b <= 0.0:
         raise ValueError(f"holevo_pie_asymptote requires n_b > 0, got {n_b!r}")
-    return _log2_1p(1.0 / n_b)
+    # where 1/n_b overflows (subnormal n_b), log1p(1/n_b) = -log(n_b) to rounding
+    return (-math.log(n_b) if math.isinf(1.0 / n_b) else math.log1p(1.0 / n_b)) * LOG2_E
 
 
 def shannon_pie_asymptote(n_b: float) -> float:

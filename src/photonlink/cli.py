@@ -16,12 +16,14 @@ click columns from ``noise.click_probs`` on the bin energies.
 Each subcommand computes its columns and hands them to one output step.
 Output is CSV with a '#'-prefixed metadata header that echoes the command,
 every option except ``--out`` in parser order, then derived values; given
-the same arguments the data section is byte-identical between runs.  Only
-a table whose columns are all float64 arrays or a ``range`` is built as
-bytes; any other is joined as ``str``.  Exit codes: 0 success, 1 a
+the same arguments the data section is byte-identical between runs.  The
+column types alone pick the writer's path, once per table and whatever its
+size: a table whose columns are all float64 arrays or a ``range`` is built
+as bytes; any other is joined as ``str``.  Exit codes: 0 success, 1 a
 computational flag was raised (optimizer hit the search bound), 2 usage or
-config errors, among them an option whose text holds a line break; a run
-that exits 2 removes every file it created.
+config errors, among them an option whose text holds a line break and an
+output that is an input file or another output of the run; a run that
+exits 2 removes every file it created.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,8 +70,6 @@ MAX_GRID_POINTS = 10**6
 
 # rows the table writer formats at a time
 _BLOCK_ROWS = 8192
-# distinct floats of a block from which the byte path beats str
-_VECTOR_MIN = 1000
 
 # the files the running command created; main removes them if it fails
 _created: list[str] = []
@@ -80,77 +80,56 @@ SEPARATION_NOTE = (
 )
 
 
-def _block_bytes(columns: list[Sequence[object]], rows: slice) -> bytes | np.ndarray:
-    """UTF-8 CSV lines of ``rows``, a cell per column as ``str`` of its value.
+def _block_bytes(columns: list[np.ndarray | range], rows: slice) -> np.ndarray:
+    """UTF-8 CSV lines of ``rows`` of float64 array and ``range`` columns.
 
-    The float64 array columns are formatted together.  Each column's distinct
-    bit patterns come from one ``np.sort`` and a compare of neighbours: the
-    bits keep -0.0 apart from 0.0, which compare and hash equal as floats.
-    A column that repeats, with at most half its cells distinct, is
-    formatted once per distinct value and its cells found by
-    ``np.searchsorted``; any other column is formatted cell by cell.  A
-    block of ``_VECTOR_MIN`` or more distinct floats whose every column is
-    a float64 array or a ``range`` is built as bytes: the floats by
-    ``format_bytes``, a ``range`` by ``format_ints``.  Every text is a
-    NUL-padded row of one pool with its comma or newline after it; one
-    gather lays each table row's cells side by side, and one boolean
-    compress keeps the text and separators, which are returned as that
-    uint8 array, not copied into ``bytes``.  Any other block joins ``repr``
-    of the floats and ``str`` of the other cells as ``str``, which costs
-    less there.
+    A cell's text is ``str`` of its value: the floats of every column come
+    from one ``format_bytes`` call, a ``range`` from ``format_ints``.  Each
+    float column's distinct bit patterns come from one ``np.sort`` and a
+    compare of neighbours: the bits keep -0.0 apart from 0.0, which compare
+    and hash equal as floats.  A column that repeats, with at most half its
+    cells distinct, is formatted once per distinct value and its cells found
+    by ``np.searchsorted``; any other column is formatted cell by cell.
+    Every text is a NUL-padded row of one pool with its comma or newline
+    after it; one gather lays each table row's cells side by side, and one
+    boolean compress keeps the text and separators, which are returned as
+    that uint8 array, not copied into ``bytes``.
     """
     parts = [column[rows] for column in columns]
     n_rows = len(parts[0])
-    floats = [i for i, part in enumerate(parts) if isinstance(part, np.ndarray) and part.dtype == np.float64]
-    # per float64 column: the bits to format, and each cell's row among
-    # them, or None when they are the cells themselves
-    found: list[tuple[np.ndarray, np.ndarray | None]] = []
-    n_distinct = 0
-    for i in floats:
-        bits = parts[i].view(np.int64)
+    # the pool's rows: the floats to format of each float64 column, then a
+    # row per cell of each range column
+    cell = np.empty((n_rows, len(parts)), dtype=np.intp)
+    floats = [np.empty(0, dtype=np.int64)]
+    size = 0
+    for i, part in enumerate(parts):
+        if isinstance(part, range):
+            continue
+        bits = part.view(np.int64)
         ordered = np.sort(bits)
         first = np.empty(n_rows, dtype=bool)
         first[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         distinct = ordered[first]
-        n_distinct += len(distinct)
         if 2 * len(distinct) <= n_rows:
-            found.append((distinct, np.searchsorted(distinct, bits)))
+            floats.append(distinct)
+            cell[:, i] = np.searchsorted(distinct, bits) + size
         else:
-            found.append((bits, None))
-    values = np.concatenate([np.empty(0, dtype=np.int64), *(bits for bits, _ in found)]).view(np.float64)
-    ranges = [i for i, part in enumerate(parts) if isinstance(part, range)]
-    if n_distinct < _VECTOR_MIN or len(floats) + len(ranges) < len(parts):
-        cells: list[Iterable[str]] = [map(str, part) for part in parts]
-        text = np.array([repr(x) for x in values.tolist()], dtype=object)
-        start = 0
-        for i, (bits, index) in zip(floats, found):
-            own = text[start : start + len(bits)]
-            cells[i] = (own if index is None else own[index]).tolist()
-            start += len(bits)
-        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
-
-    # the pool's rows: the floats to format of each float64 column, then a
-    # row per cell of each range column
-    text, length = format_bytes(values)
-    texts, lengths = [text], [length]
-    cell = np.empty((n_rows, len(parts)), dtype=np.intp)
-    size = 0
-    for i, (bits, index) in zip(floats, found):
-        cell[:, i] = np.arange(size, size + n_rows) if index is None else index + size
-        size += len(bits)
-    for i in ranges:
-        part = parts[i]
-        text, length = format_ints(np.arange(part.start, part.stop, part.step))
-        texts.append(text)
-        lengths.append(length)
-        cell[:, i] = np.arange(size, size + n_rows)
-        size += n_rows
+            floats.append(bits)
+            cell[:, i] = np.arange(size, size + n_rows)
+        size += len(floats[-1])
+    # (text, length) pairs of the pool's rows
+    pieces = [format_bytes(np.concatenate(floats).view(np.float64))]
+    for i, part in enumerate(parts):
+        if isinstance(part, range):
+            pieces.append(format_ints(np.arange(part.start, part.stop, part.step)))
+            cell[:, i] = np.arange(size, size + n_rows)
+            size += n_rows
     # every text row is as wide and ends in NUL, where its separator goes
-    pool = np.concatenate(texts)
+    pool = np.concatenate([text for text, _ in pieces])
     separator = np.full(size, ord(","), dtype=np.uint8)
     separator[cell[:, -1]] = ord("\n")
-    pool[np.arange(size), np.concatenate(lengths)] = separator
+    pool[np.arange(size), np.concatenate([length for _, length in pieces])] = separator
     grid = pool.take(cell, axis=0)
     # the text of a number holds no NUL, so what is not 0 is text or separator
     return grid[grid != 0]
@@ -165,17 +144,25 @@ def _write_table(
     """Write ``table`` (column name -> cells, all of one length) as UTF-8 CSV.
 
     A cell is written as ``str`` of its value; a float64 array column, as
-    ``repr`` of each float, which is the same text.  The rows are built
-    ``_BLOCK_ROWS`` at a time by ``_block_bytes`` as ``bytes`` or a uint8
-    array, and each block is written to ``out_path`` or to standard
-    output's binary buffer as it is; a text-only standard output
-    (``io.StringIO``) gets each block decoded.
+    ``repr`` of each float, which is the same text.  A table whose every
+    column is a float64 array or a ``range`` is built as bytes by
+    ``_block_bytes``; any other is joined as ``str``, an array column by
+    ``tolist()``.  The rows are built ``_BLOCK_ROWS`` at a time, and each
+    block is written to ``out_path`` or to standard output's binary buffer
+    as it is; a text-only standard output (``io.StringIO``) gets each block
+    decoded.
     """
     columns = list(table.values())
     n_rows = len(columns[0]) if columns else 0
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    numeric = all(
+        isinstance(column, range) or (isinstance(column, np.ndarray) and column.dtype == np.float64)
+        for column in columns
+    )
+    if not numeric:
+        columns = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
     lines = [f"# photonlink {__version__} {command}"]
     lines += [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table))
@@ -191,7 +178,25 @@ def _write_table(
                 sys.stdout.write(str(chunk, "utf-8"))
         write(("\n".join(lines) + "\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
-            write(_block_bytes(columns, slice(start, start + _BLOCK_ROWS)))
+            rows = slice(start, start + _BLOCK_ROWS)
+            if numeric:
+                write(_block_bytes(columns, rows))
+            else:
+                cells = zip(*(map(str, column[rows]) for column in columns))
+                write(("\n".join(map(",".join, cells)) + "\n").encode())
+
+
+def _refuse_clashes(outputs: dict[str, str | None], inputs: dict[str, str] | None = None) -> None:
+    """Refuse an output (option -> path, None if not given) whose real path
+    is that of an input file or of another output, before either is written."""
+    seen = {os.path.realpath(path): option for option, path in (inputs or {}).items()}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{option} {path!r} is the same file as {seen[real]}")
+        seen[real] = option
 
 
 def _create(path: str) -> str:
@@ -245,6 +250,7 @@ def _scheme_list(choice: str) -> list[str]:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    _refuse_clashes({"--out": args.out}, {"--rf-config": args.rf_config, "--optical-config": args.optical_config})
     quantities = ("eta_ch", "n_a", "shannon_rate_bps", "holevo_rate_bps")
     regimes = ("rf", "optical")
     computed, reference = [], []
@@ -269,25 +275,23 @@ def cmd_pie_sweep(args: argparse.Namespace) -> int:
     n_a_grid = _log_grid(*args.na_grid)
     schemes = _scheme_list(args.scheme)
     kinds = _model_kinds(args.model)
+    outs = {scheme: args.out for scheme in schemes}
+    if args.out is not None and len(schemes) > 1:
+        path = Path(args.out)
+        outs = {scheme: str(path.with_name(f"{path.stem}_{scheme}{path.suffix}")) for scheme in schemes}
+    _refuse_clashes({f"--out of {scheme}": out for scheme, out in outs.items()})
     exit_code = 0
     for scheme in schemes:
-        # one search over every model; lists, not float64 arrays: on tables
-        # this small, the writer's search for each array column's distinct
-        # floats costs more than it saves
-        sweep = sweep_pie(n_a_grid, args.n_b, kinds, scheme)
-        table = {name: column.tolist() for name, column in sweep.items()}
-        if any(flag != FLAG_OK for flag in table["flag"]):
+        # one search over every model
+        table = sweep_pie(n_a_grid, args.n_b, kinds, scheme)
+        if (table["flag"] != FLAG_OK).any():
             exit_code = 1
-        params = _echo(args, scheme=scheme)
-        out = args.out
-        if out is not None and len(schemes) > 1:
-            path = Path(out)
-            out = str(path.with_name(f"{path.stem}_{scheme}{path.suffix}"))
-        _write_table(out, "pie-sweep", params, table)
+        _write_table(outs[scheme], "pie-sweep", _echo(args, scheme=scheme), table)
     return exit_code
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    _refuse_clashes({"--out": args.out}, {"--config": args.config})
     lp = load_link_params(args.config)
     r_grid_au = _log_grid(*args.r_au_grid)
     with np.errstate(over="ignore"):
@@ -311,19 +315,15 @@ def cmd_link(args: argparse.Namespace) -> int:
         i = failed.argmax()
         too_near, cause = _no_optimum(columns["n_a"][i].item())
         raise ValueError(f"distance {r_grid_au[i].item()!r} AU is too {'near' if too_near else 'far'}: {cause}")
-    table = {
-        "model": columns["model"].tolist(),
-        "r_au": np.tile(r_grid_au, len(kinds)).tolist(),
-        "n_a": columns["n_a"].tolist(),
-    }
+    table = {"model": columns["model"], "r_au": np.tile(r_grid_au, len(kinds)), "n_a": columns["n_a"]}
     exit_code = 0
     for scheme in schemes:
         for name in (f"rate_{scheme}_bps", f"peak_power_{scheme}_w", f"flag_{scheme}"):
-            table[name] = columns[name].tolist()
-        if any(flag != FLAG_OK for flag in table[f"flag_{scheme}"]):
+            table[name] = columns[name]
+        if (columns[f"flag_{scheme}"] != FLAG_OK).any():
             exit_code = 1
-    table["rate_shannon_bps"] = columns["shannon_rate_bps"].tolist()
-    table["rate_holevo_bps"] = columns["holevo_rate_bps"].tolist()
+    table["rate_shannon_bps"] = columns["shannon_rate_bps"]
+    table["rate_holevo_bps"] = columns["holevo_rate_bps"]
     params = _echo(args, noise_power_w=noise_power_watts(args.n_b, lp.f_c_hz, lp.bandwidth_hz))
     _write_table(args.out, "link", params, table)
     return exit_code
@@ -333,6 +333,7 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     # --trials changes no output; it stays checked and echoed for the scripts that pass it
     if args.trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {args.trials!r}")
+    _refuse_clashes({"--out": args.out, "--pattern-out": args.pattern_out})
     # checked before the receiver functions, which check their own arguments
     kinds = _model_kinds(args.model)
     models = [NoiseModel(kind, args.n_b) for kind in kinds]

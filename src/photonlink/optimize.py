@@ -317,7 +317,7 @@ def sweep_pie(
 ) -> dict[str, np.ndarray]:
     """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
     batch by ``_maximize``, which checks the kinds, the backgrounds, the
-    scheme and m_max.
+    scheme and m_max.  Each n_a must be finite and >= 0.
 
     ``model_kinds`` is a sequence of noise kinds, such as ["poisson"] or
     ["poisson", "gauss"]; a bare str or an empty sequence is refused.
@@ -333,7 +333,7 @@ def sweep_pie(
         raise ValueError(f"model_kinds must be a sequence of kinds, not the str {model_kinds!r}")
     if len(model_kinds) == 0:
         raise ValueError("model_kinds must hold at least one kind, got none")
-    n_as = np.array(sorted(n_a_grid), dtype=float)
+    n_as = np.sort(_checked("n_a", n_a_grid), kind="stable")
     # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
     n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0
     points = len(n_as) * len(n_bs)

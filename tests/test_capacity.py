@@ -345,6 +345,17 @@ class TestAsymptotes:
         assert math.isclose(holevo_pie_asymptote(0.1), LOG2_11, rel_tol=5e-14)
         assert math.isclose(holevo_pie_asymptote(0.01), LOG2_101, rel_tol=5e-14)
 
+    @pytest.mark.parametrize(
+        "n_b",
+        [5e-324, 1e-320, 1e-310, 5.5e-309, 5.562684646268003e-309, 5.56268464626801e-309, sys.float_info.min,
+         1e-300, 1e-100, 1e-10, 1e-3, 0.1, 1.0, 1e2],
+    )
+    def test_holevo_against_mpmath(self, n_b):
+        # 1/n_b overflows from 5.562684646268003e-309 down, finite at the next float up
+        with mp.workdps(50):
+            want = mp.log(1 + 1 / mp.mpf(n_b), 2)
+        assert abs(holevo_pie_asymptote(n_b) - want) <= 1e-14 * want
+
     @pytest.mark.parametrize("bad", [0.0, -0.5, float("inf")])
     def test_holevo_domain(self, bad):
         with pytest.raises(ValueError):

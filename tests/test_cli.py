@@ -170,8 +170,7 @@ class TestWriteTable:
     @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
     def test_blocks_give_the_text_of_str_per_row(self, tmp_path, format_bytes_calls, rows, numeric):
-        # the blocks of 8192 rows straddle the cut-over: a full block has
-        # about 24,000 distinct floats, the 1-row tail block 4
+        # a full block of 8192 rows and a 1-row tail block
         table = self.block_table(rows, seed=rows, numeric=numeric)
         rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
         want = [",".join(map(str, row)) for row in rows_text]
@@ -180,28 +179,29 @@ class TestWriteTable:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[1] == ",".join(table)
         assert lines[2:] == want
-        assert len(format_bytes_calls) == (1 if numeric and rows >= 8191 else 0)
+        assert len(format_bytes_calls) == (n_blocks(rows) if numeric else 0)
 
-    @pytest.mark.parametrize("numeric", [False, True])
-    @pytest.mark.parametrize("vector_min", [0, 10**9])
-    def test_both_sides_of_the_cut_over_write_the_same_bytes(
-        self, tmp_path, monkeypatch, format_bytes_calls, vector_min, numeric
-    ):
-        table = self.block_table(300, seed=5, numeric=numeric)
+    @pytest.mark.parametrize("rows", [1, 300, 8193])
+    def test_bytes_and_str_paths_write_the_same_bytes(self, tmp_path, format_bytes_calls, rows):
+        # the same numeric table with array columns, built as bytes, and
+        # with list columns, joined as str
+        table = self.block_table(rows, seed=5, numeric=True)
+        lists = {
+            name: column.tolist() if isinstance(column, np.ndarray) else column for name, column in table.items()
+        }
         reference = tmp_path / "reference.csv"
-        cli._write_table(str(reference), "demo", {}, table)
-        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
+        cli._write_table(str(reference), "demo", {}, lists)
+        assert format_bytes_calls == []
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_bytes() == reference.read_bytes()
-        assert len(format_bytes_calls) == (1 if numeric and vector_min == 0 else 0)
+        assert len(format_bytes_calls) == n_blocks(rows)
 
     @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("rows", [0, 1, 8193])
     def test_byte_path_writes_an_empty_table_and_a_one_row_tail_block(
-        self, tmp_path, monkeypatch, format_bytes_calls, rows, numeric
+        self, tmp_path, format_bytes_calls, rows, numeric
     ):
-        monkeypatch.setattr(cli, "_VECTOR_MIN", 0)
         table = self.block_table(rows, seed=rows, numeric=numeric)
         rows_text = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
         want = [",".join(map(str, row)) for row in rows_text]
@@ -210,9 +210,8 @@ class TestWriteTable:
         assert out.read_text(encoding="utf-8").splitlines()[2:] == want
         assert len(format_bytes_calls) == (n_blocks(rows) if numeric else 0)
 
-    def test_byte_path_keeps_nul_and_non_ascii_in_str_cells(self, tmp_path, monkeypatch):
+    def test_byte_path_keeps_nul_and_non_ascii_in_str_cells(self, tmp_path):
         # a number's text never holds NUL, a str cell may
-        monkeypatch.setattr(cli, "_VECTOR_MIN", 0)
         table = {"x": np.array([0.0, -1.5, 2e-300]), "s": ["a\0b", "\0", "\u00e9\u20ac"], "n": [None, 7, 0.1]}
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
@@ -220,11 +219,9 @@ class TestWriteTable:
             b"0.0,a\0b,None", b"-1.5,\0,7", "2e-300,\u00e9\u20ac,0.1".encode(), b"",
         ]
 
-    @pytest.mark.parametrize("vector_min", [0, 10**9])
-    def test_range_columns_across_digit_boundaries(self, tmp_path, monkeypatch, vector_min):
+    def test_range_columns_across_digit_boundaries(self, tmp_path, format_bytes_calls):
         # bin 0, 9, 10, 99, 100, 9999, 10000 and 65535 change digit count or
         # end the range; the stepped range reaches 17 digits and negatives
-        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
         table = {
             "bin": range(65536),
             "wide": range(-10**16, 10**16, 305_175_781_250),
@@ -236,6 +233,7 @@ class TestWriteTable:
         assert lines == [f"{b},{w},0.0" for b, w in zip(table["bin"], table["wide"])]
         for b in (0, 9, 10, 99, 100, 9999, 10000, 65535):
             assert lines[b].startswith(f"{b},")
+        assert len(format_bytes_calls) == n_blocks(65536)
 
     @staticmethod
     def row_wise(table):
@@ -249,15 +247,11 @@ class TestWriteTable:
         return rng.permutation(cells)
 
     @pytest.mark.parametrize("numeric", [False, True])
-    @pytest.mark.parametrize("vector_min", [0, 10**9])
     @pytest.mark.parametrize("rows", [1, 2, 400, 8192, 8193])
-    def test_dedupe_gives_the_text_of_str_per_row(
-        self, tmp_path, monkeypatch, format_bytes_calls, rows, vector_min, numeric
-    ):
+    def test_dedupe_gives_the_text_of_str_per_row(self, tmp_path, format_bytes_calls, rows, numeric):
         # distinct shares below, at and just above one half, and 1: a column
         # is formatted per distinct value only up to one half; the pools mix
         # 0.0 with -0.0, nan bit patterns and subnormals
-        monkeypatch.setattr(cli, "_VECTOR_MIN", vector_min)
         rng = np.random.default_rng(rows)
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
                         dtype=np.uint64).view(np.float64)
@@ -282,7 +276,7 @@ class TestWriteTable:
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
-        assert len(format_bytes_calls) == (n_blocks(rows) if numeric and vector_min == 0 else 0)
+        assert len(format_bytes_calls) == (n_blocks(rows) if numeric else 0)
 
     def test_empty_table_writes_the_header_alone(self, tmp_path):
         table = {"bin": range(0), "x": np.empty(0), "flag": []}
@@ -290,26 +284,38 @@ class TestWriteTable:
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8") == f"# photonlink {__version__} demo\nbin,x,flag\n"
 
-    @pytest.mark.parametrize(
-        "n_distinct, flag, byte_path",
-        [(cli._VECTOR_MIN - 1, False, False), (cli._VECTOR_MIN, False, True), (cli._VECTOR_MIN, True, False)],
-    )
-    def test_cut_over_counts_distinct_floats_not_formatted_ones(
-        self, tmp_path, format_bytes_calls, n_distinct, flag, byte_path
-    ):
-        # 1500 rows with 999 or 1000 distinct floats: more than half, so the
-        # column is formatted cell by cell, 1500 values, yet the path is
-        # chosen by its distinct count; a list column keeps the table on str
-        rng = np.random.default_rng(n_distinct)
-        rows = 1500
-        pool = np.concatenate([[0.0, -0.0, 5e-324], rng.standard_normal(n_distinct - 3)])
-        table = {"x": self.repeating(rng, rows, n_distinct, pool)}
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("rows", [1, 1500])
+    def test_column_types_alone_pick_the_path(self, tmp_path, format_bytes_calls, rows, flag):
+        # one float or 1500 of 999 distinct: a numeric table is built as
+        # bytes whatever its size, and a list column keeps it on str
+        rng = np.random.default_rng(rows)
+        pool = np.concatenate([[0.0, -0.0, 5e-324], rng.standard_normal(996)])
+        table = {"x": self.repeating(rng, rows, min(rows, 999), pool)}
         if flag:
             table["flag"] = rng.choice(["ok", "boundary"], rows).tolist()
         out = tmp_path / "t.csv"
         cli._write_table(str(out), "demo", {}, table)
         assert out.read_text(encoding="utf-8").splitlines()[2:] == self.row_wise(table)
-        assert format_bytes_calls == ([rows] if byte_path else [])
+        assert format_bytes_calls == ([] if flag else [rows])
+
+    @pytest.mark.parametrize(
+        "argv, blocks",
+        [
+            (["receiver", "--k", "1"], 1),
+            (["receiver", "--k", "10"], 1),
+            (["receiver", "--k", "10", "--phase-sigma", "0.1", "--model", "both"], 1),
+            (["receiver", "--k", "14", "--model", "both"], 2),
+            (["table1"], 0),
+            (["pie-sweep", "--scheme", "both", "--model", "both"], 0),
+            (["link", "--model", "both"], 0),
+        ],
+    )
+    def test_each_subcommand_takes_the_path_of_its_column_types(self, tmp_path, format_bytes_calls, argv, blocks):
+        # receiver's table is floats and a range column; the others carry str columns
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert len(format_bytes_calls) == blocks
 
     @pytest.mark.parametrize(
         "argv",
@@ -340,8 +346,8 @@ class TestWriteTable:
         cli._write_table(None, "demo", {"n_b": 0.01}, table)
         stdout.flush()
         assert raw.getvalue() == b"earlier text\n" + reference.read_bytes()
-        # the full first block of each write is built as bytes
-        assert len(format_bytes_calls) == (2 if numeric else 0)
+        # each write builds both of its blocks as bytes
+        assert len(format_bytes_calls) == (2 * n_blocks(8193) if numeric else 0)
 
 
 # sha256 of the data section (the lines after the '#' header, which echoes
@@ -369,9 +375,8 @@ PINNED_RUNS = {
         "link", "--model", "gauss", "--schemes", "ook", "--n-b", "0", "--r-au-grid", "0.01", "1e4", "40",
     ],
     "pie-sweep-gauss": ["pie-sweep", "--model", "gauss", "--n-b", "0", "1e-3", "50"],
-    # zero phase error over two blocks, joined as str; and one noise model's
-    # table built as bytes.  Pinned from the np.unique writer and the
-    # np.roll cascade
+    # zero phase error over two blocks, and one noise model's table.  Pinned
+    # from the np.unique writer and the np.roll cascade
     "receiver-k14-sigma0": [
         "receiver", "--k", "14", "--target-bin", "5", "--loss", "0.97", "--model", "both", "--n-b", "30",
         "--seed", "7",
@@ -517,6 +522,53 @@ class TestHeader:
         assert cli.main(argv) == 2
         assert "--pattern-out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputClashes:
+    """An output that is an input file or another output of the run is
+    refused before any file is written, and the file there stays as it was."""
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    @pytest.mark.parametrize(
+        "command, flag", [("link", "--config"), ("table1", "--optical-config"), ("table1", "--rf-config")]
+    )
+    def test_output_over_the_config_is_refused(self, tmp_path, monkeypatch, capsys, command, flag, spelling):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.cfg"
+        shutil.copy(cli._bundled_config("table1_optical.cfg"), config)
+        before = config.read_bytes()
+        out = {"same": str(config), "dot": "./c.cfg", "symlink": "link.cfg"}[spelling]
+        if spelling == "symlink":
+            os.symlink(config, tmp_path / out)
+        assert cli.main([command, flag, str(config), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"photonlink {command}: error: --out {out!r} is the same file as {flag}\n"
+        )
+        assert config.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.cfg"] + (spelling == "symlink") * ["link.cfg"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("out", ["p.txt", "./p.txt"])
+    def test_table_over_the_pattern_file_is_refused(self, tmp_path, monkeypatch, capsys, out, existing):
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "p.txt").write_text("old\n", encoding="utf-8")
+        assert cli.main(["receiver", "--pattern-out", "p.txt", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "photonlink receiver: error: --pattern-out 'p.txt' is the same file as --out\n"
+        )
+        if existing:
+            assert (tmp_path / "p.txt").read_bytes() == b"old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (["p.txt"] if existing else [])
+
+    def test_scheme_files_that_are_one_file_are_refused(self, tmp_path, capsys):
+        # the ook file links to the ppm file, which the ook table would replace
+        (tmp_path / "sweep_ppm.csv").write_text("old\n", encoding="utf-8")
+        os.symlink(tmp_path / "sweep_ppm.csv", tmp_path / "sweep_ook.csv")
+        argv = ["pie-sweep", "--na-grid", "1e-3", "1e-3", "1", "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 2
+        assert "is the same file as --out of ppm" in capsys.readouterr().err
+        assert (tmp_path / "sweep_ppm.csv").read_bytes() == b"old\n"
 
 
 def data_lines(path):

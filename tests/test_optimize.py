@@ -457,6 +457,13 @@ class TestSweep:
         assert all(math.isnan(sweep[name][0]) for name in ("m_star", "pie", "pulse_energy"))
         assert sweep["pie"][1] > 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf, -5e-324])
+    def test_a_signal_not_finite_and_at_least_0_is_refused(self, bad):
+        # as optimize_M refuses it, rather than sorting it among the points
+        # or searching it as a failed row
+        with pytest.raises(ValueError, match=f"n_a must be finite and >= 0, got {bad!r}"):
+            sweep_pie([1e-3, bad, 1e-5, 1e-4], [0.1], ["poisson"], PPM)
+
     def test_boundary_point_is_flagged(self):
         sweep = sweep_pie([1e-3], [1e-2], ["poisson"], PPM, m_max=50.0)
         assert sweep["flag"][0] == FLAG_BOUNDARY
