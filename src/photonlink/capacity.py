@@ -12,16 +12,12 @@ from __future__ import annotations
 import math
 import sys
 
+from .noise import _checked
+
 LOG2_E = math.log2(math.e)
 # subnormal floats keep fewer digits: a term proportional to a photon number
 # that small is formed from the number times 2**_SCALE, then scaled back
 _SCALE = 600
-
-
-def _check_photon_numbers(n_a: float, n_b: float) -> None:
-    for name, value in (("n_a", n_a), ("n_b", n_b)):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def g(x: float) -> float:
@@ -31,8 +27,7 @@ def g(x: float) -> float:
     log1p(x) + x log1p(1/x) in nats, a sum of two non-negative terms, so
     that large x does not cancel the two logarithms against each other.
     """
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"g requires x >= 0, got {x!r}")
+    x = _checked("x", x)
     if x == 0.0:
         return 0.0
     inv = 1.0 / x
@@ -51,8 +46,7 @@ def _shannon(n_a: float, n_b: float) -> float:
 
 def shannon_capacity(n_a: float, n_b: float) -> float:
     """Shannon capacity log2(1 + n_a / (n_b + 1)) of the quadrature channel."""
-    _check_photon_numbers(n_a, n_b)
-    return _shannon(n_a, n_b)
+    return _shannon(_checked("n_a", n_a), _checked("n_b", n_b))
 
 
 def _scaled_h(x: float, a: float) -> float:
@@ -78,7 +72,7 @@ def holevo_capacity(n_a: float, n_b: float) -> float:
     Both forms subtract terms of order n_b: above n_b = 1e2 ``_wide`` takes
     over.  Below n_a = 1e-300 the terms go about as n_a, times 2**_SCALE.
     """
-    _check_photon_numbers(n_a, n_b)
+    n_a, n_b = _checked("n_a", n_a), _checked("n_b", n_b)
     if n_a == 0.0:
         return 0.0
     if n_b > 1e2:
@@ -123,9 +117,7 @@ def _wide(n_a: float, n_b: float) -> float:
 
 def pie(capacity_bits: float, n_a: float) -> float:
     """Photon information efficiency: bits per detected signal photon."""
-    if not math.isfinite(n_a) or n_a <= 0.0:
-        raise ValueError(f"pie requires n_a > 0, got {n_a!r}")
-    return capacity_bits / n_a
+    return capacity_bits / _checked("n_a", n_a, strict=True)
 
 
 def holevo_pie_asymptote(n_b: float) -> float:
@@ -133,14 +125,11 @@ def holevo_pie_asymptote(n_b: float) -> float:
 
     Diverges as the background vanishes; requires n_b > 0.
     """
-    if not math.isfinite(n_b) or n_b <= 0.0:
-        raise ValueError(f"holevo_pie_asymptote requires n_b > 0, got {n_b!r}")
+    n_b = _checked("n_b", n_b, strict=True)
     # where 1/n_b overflows (subnormal n_b), log1p(1/n_b) = -log(n_b) to rounding
     return (-math.log(n_b) if math.isinf(1.0 / n_b) else math.log1p(1.0 / n_b)) * LOG2_E
 
 
 def shannon_pie_asymptote(n_b: float) -> float:
     """n_a -> 0 limit of the Shannon efficiency: log2(e) / (1 + n_b)."""
-    if not math.isfinite(n_b) or n_b < 0.0:
-        raise ValueError(f"shannon_pie_asymptote requires n_b >= 0, got {n_b!r}")
-    return LOG2_E / (1.0 + n_b)
+    return LOG2_E / (1.0 + _checked("n_b", n_b))

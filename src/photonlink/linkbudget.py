@@ -66,9 +66,7 @@ class LinkParams:
 
     def __post_init__(self) -> None:
         for name in CONFIG_KEYS:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _checked(name, getattr(self, name), strict=True)
         if self.eta_det > 1.0:
             raise ValueError(f"eta_det must be <= 1, got {self.eta_det!r}")
 
@@ -133,19 +131,20 @@ def received_photon_number(lp: LinkParams) -> float:
 
 
 def noise_power_watts(n_b: float, f_c_hz: float, bandwidth_hz: float) -> float:
-    """Detected background power corresponding to n_b photons per bin."""
-    if not math.isfinite(n_b) or n_b < 0.0:
-        raise ValueError(f"n_b must be finite and >= 0, got {n_b!r}")
-    # + 0.0 turns a background of -0.0 into 0.0
-    return (n_b + 0.0) * _H * f_c_hz * bandwidth_hz
+    """Detected background power corresponding to n_b photons per bin, at
+    carrier frequency ``f_c_hz`` and bin rate ``bandwidth_hz``, both > 0."""
+    n_b, f_c_hz = _checked("n_b", n_b), _checked("f_c_hz", f_c_hz, strict=True)
+    return n_b * _H * f_c_hz * _checked("bandwidth_hz", bandwidth_hz, strict=True)
 
 
 def transmitter_peak_power(m_star: float, n_a: float, lp: LinkParams) -> float:
     """Transmitter peak power that delivers pulses of energy m_star * n_a.
 
     Equals m_star * P_avg for a transmitter of average power P_avg, since
-    the duty cycle is 1 / m_star.
+    the duty cycle is 1 / m_star.  m_star must be finite and >= 1, n_a
+    finite and >= 0.
     """
+    m_star, n_a = _checked("m_star", m_star, 1.0), _checked("n_a", n_a)
     return _peak_power(m_star, n_a, lp, channel_transmission(lp))
 
 
@@ -174,7 +173,7 @@ def _distance_sweep(
 ) -> dict[str, np.ndarray]:
     """Optimized data rate and peak power of each scheme over a (kind,
     distance) grid, searched in one batch per scheme by optimize._maximize,
-    which checks the kinds, the background ``n_b`` and the scheme.
+    which checks the kinds and the scheme.
 
     Returns columns keyed by name, one entry per point with the kinds, then
     the distances, in the given order: float64 arrays ``distance_m``,
@@ -186,8 +185,8 @@ def _distance_sweep(
     that underflows; m_star, rate and peak power are NaN there) and "ok"
     elsewhere; then float64 arrays ``shannon_rate_bps`` and
     ``holevo_rate_bps``, NaN where n_a <= 0 or n_a * m_max is not finite.
-    A distance that is not finite and > 0 raises ValueError naming it as a
-    float.
+    A distance that is not finite and > 0, then a background ``n_b`` that
+    is not finite and >= 0, raises ValueError naming it as a float.
     """
     r_grid_m = list(r_grid_m)
     points = len(r_grid_m)
@@ -198,8 +197,7 @@ def _distance_sweep(
     with np.errstate(over="ignore"):
         eta_ch = _transmission(lp_template, r_m)
         n_a = _photon_number(lp_template, eta_ch)
-    # + 0.0 gives a background of -0.0 as the 0.0 it is searched at
-    n_b += 0.0
+    n_b = _checked("n_b", n_b)
     columns = {"distance_m": r_m, "n_a": n_a, "n_b": np.full_like(n_a, n_b), "model": np.repeat(kinds, points)}
     for scheme in schemes:
         m_star, mi, flag = _maximize(n_a[:points], columns["n_b"][:points], kinds, scheme)

@@ -116,7 +116,7 @@ def _mi_per_bin(kernel, m_min: float, m, n_a, model: NoiseModel):
     # -inf, the right limit, where a Poisson n_b is above about 1.8e299
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mi = kernel(m, n_a, clicks)
-    return mi.item() if m.ndim == n_a.ndim == 0 else mi
+    return mi.item() if np.ndim(m) == np.ndim(n_a) == 0 else mi
 
 
 def ppm_mi_per_bin(m, n_a, model: NoiseModel):

@@ -43,10 +43,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.n_b) or self.n_b < 0.0:
-            raise ValueError(f"n_b must be finite and >= 0, got {self.n_b!r}")
-        # -0.0 passes, but its click probabilities are -0.0 and the kernels divide by them
-        object.__setattr__(self, "n_b", self.n_b + 0.0)
+        object.__setattr__(self, "n_b", _checked("n_b", self.n_b))
 
 
 def poissonian(n_b: float) -> NoiseModel:
@@ -71,15 +68,26 @@ def _click_params(kind: str, n_b: np.ndarray) -> tuple[np.ndarray, ...]:
     return n_b / t, 1.0 / t, -np.log1p(n_b), -t
 
 
-def _checked(name: str, values, low: float = 0, strict: bool = False) -> np.ndarray:
-    """``values`` as a float64 array, or a ValueError naming, as a float, the
-    first that is not finite and >= ``low`` (> ``low`` where ``strict``)."""
-    values = np.asarray(values, dtype=float)
-    ok = np.isfinite(values) & ((values > low) if strict else (values >= low))
-    if not ok.all():
-        op = ">" if strict else ">="
-        raise ValueError(f"{name} must be finite and {op} {low}, got {values.flat[ok.argmin()].item()!r}")
-    return values
+def _checked(name: str, values, low: float = 0, strict: bool = False):
+    """``values``, or a ValueError naming, as a float, the first that is not
+    finite and >= ``low`` (> ``low`` where ``strict``).
+
+    An int, a float or a numpy scalar comes back as a float, anything else
+    as a float64 array (a 0-d one as a numpy float64); -0.0 comes back as
+    0.0, since its click probabilities are -0.0 and the kernels divide by
+    them.
+    """
+    if isinstance(values, (float, int, np.floating, np.integer)):
+        value = float(values)
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value + 0.0
+    else:
+        values = np.asarray(values, dtype=float)
+        ok = np.isfinite(values) & ((values > low) if strict else (values >= low))
+        if ok.all():
+            return values + 0.0
+        value = values.flat[ok.argmin()].item()
+    raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")
 
 
 def click_probs(model: NoiseModel, pulse_energy):
@@ -102,4 +110,4 @@ def click_probs(model: NoiseModel, pulse_energy):
         # n_b = 0 reproduces the Poissonian expressions bit for bit
         t = n_b + 1.0
         p_b, p_p = n_b / t, (n_b - np.expm1(-e_p / t)) / t
-    return float(p_b[0]), (float(p_p[0]) if e.ndim == 0 else p_p)
+    return float(p_b[0]), (float(p_p[0]) if np.ndim(e) == 0 else p_p)

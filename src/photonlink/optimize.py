@@ -206,12 +206,10 @@ def _maximize(n_a, n_b, kinds: Sequence[str], scheme: str, m_max=_M_MAX):
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
-    # -0.0 passes, but its click probabilities are -0.0 and the kernels divide by them
-    n_b = _checked("n_b", n_b) + 0.0
+    n_b = _checked("n_b", n_b)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if not math.isfinite(m_max) or m_max <= _M_MIN[scheme]:
-        raise ValueError(f"m_max must exceed {_M_MIN[scheme]}, got {m_max!r}")
+    m_max = _checked("m_max", m_max, _M_MIN[scheme], strict=True)
     n_a = np.concatenate([np.asarray(n_a, dtype=float)] * len(kinds))
     clicks = np.concatenate([_click_params(kind, n_b) for kind in kinds], axis=1)
     mi = _MI[scheme]
@@ -299,8 +297,7 @@ def optimize_M(n_a: float, model: NoiseModel, scheme: str, m_max: float = _M_MAX
         ValueError: where n_a has no optimum, since n_a * m_max overflows
             or the information per bin underflows (see ``_maximize``).
     """
-    if not math.isfinite(n_a) or n_a <= 0.0:
-        raise ValueError(f"optimize_M requires n_a > 0, got {n_a!r}")
+    n_a = _checked("n_a", n_a, strict=True)
     m_star, mi, flag = _maximize(np.array([n_a]), np.array([model.n_b]), (model.kind,), scheme, m_max)
     if flag[0] == FLAG_FAILED:
         raise ValueError(_no_optimum(n_a, m_max)[1])
@@ -316,8 +313,8 @@ def sweep_pie(
     m_max: float = _M_MAX,
 ) -> dict[str, np.ndarray]:
     """Optimized efficiency over a (kind, n_b, n_a) grid, searched in one
-    batch by ``_maximize``, which checks the kinds, the backgrounds, the
-    scheme and m_max.  Each n_a must be finite and >= 0.
+    batch by ``_maximize``, which checks the kinds, the scheme and m_max.
+    Each n_a, then each n_b, must be finite and >= 0.
 
     ``model_kinds`` is a sequence of noise kinds, such as ["poisson"] or
     ["poisson", "gauss"]; a bare str or an empty sequence is refused.
@@ -334,8 +331,7 @@ def sweep_pie(
     if len(model_kinds) == 0:
         raise ValueError("model_kinds must hold at least one kind, got none")
     n_as = np.sort(_checked("n_a", n_a_grid), kind="stable")
-    # + 0.0 writes a background of -0.0 as the 0.0 it is searched at
-    n_bs = np.array(sorted(n_b_list), dtype=float) + 0.0
+    n_bs = np.sort(_checked("n_b", n_b_list), kind="stable")
     points = len(n_as) * len(n_bs)
     # the columns hold every kind's points in turn; the search takes one kind's
     n_a = np.tile(n_as, len(n_bs) * len(model_kinds))

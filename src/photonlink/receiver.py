@@ -27,6 +27,8 @@ import sys
 
 import numpy as np
 
+from .noise import _checked
+
 H = 0
 V = 1
 
@@ -47,11 +49,6 @@ def _checked_k(k) -> int:
     if not (isinstance(k, (int, float, np.integer, np.floating)) and 1 <= k <= MAX_K and k % 1 == 0):
         raise ValueError(f"k must be an integer >= 1 and <= {MAX_K}, got {k!r}")
     return int(k)
-
-
-def _checked_sigma(phase_error_sigma: float) -> None:
-    if not math.isfinite(phase_error_sigma) or phase_error_sigma < 0.0:
-        raise ValueError(f"phase_error_sigma must be >= 0, got {phase_error_sigma!r}")
 
 
 def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss: float) -> None:
@@ -79,7 +76,7 @@ def _module(field: np.ndarray, spare: np.ndarray, delay: int, phase: float, loss
     v *= scale
 
 
-def _checked(field: np.ndarray) -> int:
+def _field_k(field: np.ndarray) -> int:
     """k of a finite field of shape (2, 2**k), 1 <= k <= MAX_K; ValueError for any other."""
     n = field.shape[-1] if field.ndim else 0
     if field.shape != (2, n) or n < 1 or n & (n - 1):
@@ -107,10 +104,10 @@ def apply_receiver(
     ideal phases exactly.
     """
     field = np.array(field, dtype=np.complex128, order="C")
-    k = _checked(field)
+    k = _field_k(field)
     if not 0.0 < per_module_loss <= 1.0:
         raise ValueError(f"per_module_loss must be in (0, 1], got {per_module_loss!r}")
-    _checked_sigma(phase_error_sigma)
+    phase_error_sigma = _checked("phase_error_sigma", phase_error_sigma)
     if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
         raise ValueError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
     phases = np.random.default_rng(rng_seed).normal(0.0, phase_error_sigma, k)
@@ -142,8 +139,7 @@ def make_pattern(k: int, target_bin: int, total_energy: float = 1.0) -> np.ndarr
     # the range first: int() raises its own errors for inf and nan
     if not 0 <= target_bin < n or int(target_bin) != target_bin:
         raise ValueError(f"target_bin must be an integer in [0, {n}), got {target_bin!r}")
-    if not math.isfinite(total_energy) or total_energy <= 0.0:
-        raise ValueError(f"total_energy must be > 0, got {total_energy!r}")
+    total_energy = _checked("total_energy", total_energy, strict=True)
     per_bin = total_energy / n
     if per_bin < sys.float_info.min:
         raise ValueError(
@@ -190,7 +186,7 @@ def concentration_efficiency(k: int, phase_error_sigma: float) -> tuple[float, f
     the last digit, so a tiny u cannot underflow to a wrong std.
     """
     k = _checked_k(k)
-    _checked_sigma(phase_error_sigma)
+    phase_error_sigma = _checked("phase_error_sigma", phase_error_sigma)
     # sigma ** 2 would raise OverflowError above 1.3e154
     s2 = phase_error_sigma * phase_error_sigma
     g = math.expm1(-s2 / 2.0) / 2.0
@@ -215,7 +211,7 @@ def _energy(bins: np.ndarray) -> float:
 def save_pattern(path: str, field: np.ndarray) -> None:
     """Write a finite complex (2, 2**k) field as a plain-text table, one row per bin."""
     field = np.asarray(field, dtype=np.complex128)
-    k = _checked(field)
+    k = _field_k(field)
     bins = np.ascontiguousarray(field.T)
     n = len(bins)
     header = f"k = {k} energy = {_energy(bins):.17e}\nbin_index re_H im_H re_V im_V"

@@ -952,8 +952,8 @@ class TestBackgroundEdges:
         if argv[0] == "link":
             assert parse_table(texts[0])[0]["noise_power_w"] == "0.0"
 
-    # the search checks every background before it builds anything, and
-    # names the first bad one, in ascending order for pie-sweep, as a float
+    # every background is checked before anything is built, and the first
+    # bad one in the given order is named as a float
     @pytest.mark.parametrize(
         "argv, value",
         [
@@ -1246,6 +1246,13 @@ class TestReceiverCommand:
         mean = float(meta["concentration_mean"])
         assert 0.9 < mean < 1.0
         assert float(meta["concentration_std"]) > 0.0
+
+    def test_negative_zero_phase_spread_writes_the_data_of_zero(self, tmp_path):
+        paths = [tmp_path / "negative.csv", tmp_path / "zero.csv"]
+        for sigma, path in zip(("-0.0", "0"), paths):
+            argv = ["receiver", "--k", "8", "--phase-sigma", sigma, "--loss", "0.9", "--out", str(path)]
+            assert cli.main(argv) == 0
+        assert data_lines(paths[0]) == data_lines(paths[1])
 
     def test_trials_change_no_output(self, tmp_path):
         # the statistics are exact; --trials is parsed, checked and echoed

@@ -198,6 +198,10 @@ class TestNoisePower:
         with pytest.raises(ValueError, match="n_b must be finite and >= 0"):
             noise_power_watts(bad, 2e14, 2e9)
 
+    def test_checks_the_frequency_before_the_bandwidth(self):
+        with pytest.raises(ValueError, match=r"^f_c_hz must be finite and > 0, got -1.0$"):
+            noise_power_watts(1e-2, -1.0, math.nan)
+
 
 class TestPeakPower:
     def test_unit_duty_cycle_recovers_average_power(self, optical_lp):

@@ -70,13 +70,13 @@ class TestOptimizeDomain:
 
     @pytest.mark.parametrize("scheme, m_min", [(PPM, 2.0), (OOK, 1.0)])
     def test_rejects_range_ending_at_m_min(self, scheme, m_min):
-        with pytest.raises(ValueError, match="m_max must exceed"):
+        with pytest.raises(ValueError, match="m_max must be finite and >"):
             optimize_M(1e-4, poissonian(1e-2), scheme, m_max=m_min)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_range(self, scheme, bad):
-        with pytest.raises(ValueError, match="m_max must exceed"):
+        with pytest.raises(ValueError, match="m_max must be finite and >"):
             optimize_M(1e-12, poissonian(0.0), scheme, m_max=bad)
 
     def test_sweep_rejects_unknown_kind(self):

@@ -42,6 +42,8 @@ RETIRED = {
     "_one": "the MI functions take floats or arrays",
     "_at_point": "the MI functions take floats or arrays",
     "_check_n_a": "noise._checked checks every array input",
+    "_check_photon_numbers": "noise._checked checks every number",
+    "_checked_sigma": "noise._checked checks every number",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)

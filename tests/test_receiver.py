@@ -129,7 +129,7 @@ class TestArguments:
 
     @pytest.mark.parametrize("sigma", [-0.1, math.inf, math.nan])
     def test_rejects_a_bad_sigma_by_name(self, sigma):
-        message = re.escape(f"phase_error_sigma must be >= 0, got {sigma!r}")
+        message = re.escape(f"phase_error_sigma must be finite and >= 0, got {sigma!r}")
         with pytest.raises(ValueError, match=message):
             apply_receiver(make_pattern(3, 0), phase_error_sigma=sigma)
         with pytest.raises(ValueError, match=message):
