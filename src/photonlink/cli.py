@@ -22,8 +22,9 @@ size: a table whose columns are all float64 arrays or a ``range`` is built
 as bytes; any other is joined as ``str``.  Exit codes: 0 success, 1 a
 computational flag was raised (optimizer hit the search bound), 2 usage or
 config errors, among them an option whose text holds a line break and an
-output that is an input file or another output of the run; a run that
-exits 2 removes every file it created.
+output that is an input file or another output of the run; every output
+is opened before any is written, and a run that exits 2 removes every
+file it created.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .floatfmt import format_bytes, format_ints
+from .floatfmt import format_bytes
 from .linkbudget import (
     AU_M,
     REFERENCE_REGIMES,
@@ -84,16 +85,17 @@ def _block_bytes(columns: list[np.ndarray | range], rows: slice) -> np.ndarray:
     """UTF-8 CSV lines of ``rows`` of float64 array and ``range`` columns.
 
     A cell's text is ``str`` of its value: the floats of every column come
-    from one ``format_bytes`` call, a ``range`` from ``format_ints``.  Each
-    float column's distinct bit patterns come from one ``np.sort`` and a
-    compare of neighbours: the bits keep -0.0 apart from 0.0, which compare
-    and hash equal as floats.  A column that repeats, with at most half its
-    cells distinct, is formatted once per distinct value and its cells found
-    by ``np.searchsorted``; any other column is formatted cell by cell.
-    Every text is a NUL-padded row of one pool with its comma or newline
-    after it; one gather lays each table row's cells side by side, and one
-    boolean compress keeps the text and separators, which are returned as
-    that uint8 array, not copied into ``bytes``.
+    from one ``format_bytes`` call, a ``range`` from numpy's cast of its
+    integers to bytes of the same width.  Each float column's distinct bit
+    patterns come from one ``np.sort`` and a compare of neighbours: the bits
+    keep -0.0 apart from 0.0, which compare and hash equal as floats.  A
+    column that repeats, with at most half its cells distinct, is formatted
+    once per distinct value and its cells found by ``np.searchsorted``; any
+    other column is formatted cell by cell.  Every text is a NUL-padded row
+    of one pool; one gather lays each table row's cells side by side, each
+    cell's comma or newline goes into its last byte, and one boolean
+    compress keeps the text and separators, which are returned as that
+    uint8 array, not copied into ``bytes``.
     """
     parts = [column[rows] for column in columns]
     n_rows = len(parts[0])
@@ -118,19 +120,18 @@ def _block_bytes(columns: list[np.ndarray | range], rows: slice) -> np.ndarray:
             floats.append(bits)
             cell[:, i] = np.arange(size, size + n_rows)
         size += len(floats[-1])
-    # (text, length) pairs of the pool's rows
-    pieces = [format_bytes(np.concatenate(floats).view(np.float64))]
+    pool = [format_bytes(np.concatenate(floats).view(np.float64))]
+    width = pool[0].shape[1]
     for i, part in enumerate(parts):
         if isinstance(part, range):
-            pieces.append(format_ints(np.arange(part.start, part.stop, part.step)))
+            text = np.arange(part.start, part.stop, part.step).astype(f"S{width}")
+            pool.append(text.view(np.uint8).reshape(n_rows, width))
             cell[:, i] = np.arange(size, size + n_rows)
             size += n_rows
-    # every text row is as wide and ends in NUL, where its separator goes
-    pool = np.concatenate([text for text, _ in pieces])
-    separator = np.full(size, ord(","), dtype=np.uint8)
-    separator[cell[:, -1]] = ord("\n")
-    pool[np.arange(size), np.concatenate([length for _, length in pieces])] = separator
-    grid = pool.take(cell, axis=0)
+    grid = np.concatenate(pool).take(cell, axis=0)
+    # no text of a float or an int64 fills its row, so each ends in NUL
+    grid[:, :-1, -1] = ord(",")
+    grid[:, -1, -1] = ord("\n")
     # the text of a number holds no NUL, so what is not 0 is text or separator
     return grid[grid != 0]
 
@@ -145,12 +146,12 @@ def _write_table(
 
     A cell is written as ``str`` of its value; a float64 array column, as
     ``repr`` of each float, which is the same text.  A table whose every
-    column is a float64 array or a ``range`` is built as bytes by
-    ``_block_bytes``; any other is joined as ``str``, an array column by
-    ``tolist()``.  The rows are built ``_BLOCK_ROWS`` at a time, and each
-    block is written to ``out_path`` or to standard output's binary buffer
-    as it is; a text-only standard output (``io.StringIO``) gets each block
-    decoded.
+    column is a float64 array or a ``range`` of int64 values is built as
+    bytes by ``_block_bytes``; any other is joined as ``str``, an array
+    column by ``tolist()``.  The rows are built ``_BLOCK_ROWS`` at a time,
+    and each block is written to ``out_path`` or to standard output's
+    binary buffer as it is; a text-only standard output (``io.StringIO``)
+    gets each block decoded.
     """
     columns = list(table.values())
     n_rows = len(columns[0]) if columns else 0
@@ -188,7 +189,15 @@ def _write_table(
 
 def _refuse_clashes(outputs: dict[str, str | None], inputs: dict[str, str] | None = None) -> None:
     """Refuse an output (option -> path, None if not given) whose real path
-    is that of an input file or of another output, before either is written."""
+    is that of an input file or of another output, before either is written.
+
+    Where two or more outputs are given, then open each for appending,
+    which changes no byte of a file that is there, and remove a file that
+    this open created, so a path that cannot be written fails the run
+    before another output is written; a lone output's own write is the
+    run's first.  A FIFO or a character device is left to be opened once,
+    when it is written.
+    """
     seen = {os.path.realpath(path): option for option, path in (inputs or {}).items()}
     for option, path in outputs.items():
         if path is None:
@@ -197,11 +206,26 @@ def _refuse_clashes(outputs: dict[str, str | None], inputs: dict[str, str] | Non
         if real in seen:
             raise ValueError(f"{option} {path!r} is the same file as {seen[real]}")
         seen[real] = option
+    given = [path for path in outputs.values() if path is not None]
+    if len(given) < 2:
+        return
+    for path in given:
+        if Path(path).is_fifo() or Path(path).is_char_device():
+            continue
+        there = os.path.exists(path)
+        open(path, "ab").close()
+        if not there:
+            # left for the writer to create: ext4 starts writing back a file
+            # that was truncated on open as soon as it is closed
+            os.remove(os.path.realpath(path))
 
 
 def _create(path: str) -> str:
-    """``path``, noted among the files this run created unless a file is there already."""
-    if not os.path.lexists(path):
+    """``path``, noted among the files this run created unless a file is there already.
+
+    A dangling symbolic link names no file, so the file it names is noted.
+    """
+    if not os.path.exists(path):
         _created.append(path)
     return path
 
@@ -360,10 +384,10 @@ def cmd_receiver(args: argparse.Namespace) -> int:
     )
     table = {"bin": range(pattern.shape[1]), **dict(zip(names, columns))}
     params = _echo(args, concentration_mean=mean, concentration_std=std)
-    if args.pattern_out is not None:
-        save_pattern(_create(args.pattern_out), pattern)
     print(SEPARATION_NOTE, file=sys.stderr)
     _write_table(args.out, "receiver", params, table)
+    if args.pattern_out is not None:
+        save_pattern(_create(args.pattern_out), pattern)
     return 0
 
 
@@ -439,10 +463,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        # a failed run leaves none of the files it created
+        # a failed run leaves none of the files it created, those named by a link included
         for path in _created:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(os.path.realpath(path))
         print(f"photonlink {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

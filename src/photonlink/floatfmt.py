@@ -3,16 +3,16 @@
 ``format_bytes(a)`` returns the text of ``[repr(x) for x in a.tolist()]``:
 for each float the shortest decimal that reads back to it, the one closest
 to it when several are that short, laid out as Python lays out ``repr``.
-The text comes as a (len(a), 25) uint8 array, NUL padded, with each value's
-length, so a caller can gather it into a larger buffer without a Python
-string per value.  ``format_ints(a)`` gives ``str`` of each integer below
-10**17 in magnitude in the same layout.  The digits come from Schubfach (R.
-Giulietti, "The Schubfach way to render doubles", 2020), which finds them
-with three products of the scaled significand and a 126-bit power of ten
-rounded to odd; numpy has no 128-bit integers, so the products run on
-32-bit limbs in uint64.  The text is gathered from a table of character
-layouts keyed by sign, digit count and decimal-point position, so no
-per-value Python code runs.
+The text comes as a (len(a), 25) uint8 array, each row NUL padded to its
+end, so a caller can gather it into a larger buffer without a Python
+string per value; no text fills its row, so a caller may write into the
+last byte of each.  The digits come from Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020), which finds them with three
+products of the scaled significand and a 126-bit power of ten rounded to
+odd; numpy has no 128-bit integers, so the products run on 32-bit limbs
+in uint64.  The text is gathered from a table of character layouts keyed
+by sign, digit count and decimal-point position, so no per-value Python
+code runs.
 
 A call runs about a hundred numpy operations per block of 4096 values, so
 on a few hundred values it costs more than ``repr``.  The tables are built
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +55,9 @@ _POSITIONS = _DECPT_MAX - _DECPT_MIN + 1 + _EXP_FORMS
 # covers every decpt of a float64: 5e-324 has -323, 1.8e308 has 309
 _DECPT_LOW, _DECPT_HIGH = -330, 330
 # layout keys: (negative * 18 + digit count) * _POSITIONS + position, then
-# the fixed strings, then the integers' negative * 18 + digit count
+# the fixed strings
 _SIGN_KEYS = (len(_DIGITS) + 1) * _POSITIONS
 _FIXED = ("0.0", "-0.0", "inf", "-inf", "nan")
-_INT_KEYS = 2 * _SIGN_KEYS + len(_FIXED)
-_INT_MAX = 10**len(_DIGITS) - 1
 
 _ABS = _U64(0x7FFF_FFFF_FFFF_FFFF)
 _INF = _U64(0x7FF0_0000_0000_0000)
@@ -79,7 +77,6 @@ class _Tables(NamedTuple):
     groups: np.ndarray
     position: np.ndarray  # (661,) intp: layout position by decpt - _DECPT_LOW
     layout: np.ndarray  # (keys, _WIDTH) intp: _SOURCE index of each character
-    length: np.ndarray  # (keys,) intp: characters of each layout
     offsets: np.ndarray  # (_BLOCK, _WIDTH) intp: the start of each value's source characters
 
 
@@ -162,11 +159,6 @@ def _tables() -> _Tables:
         for position in range(_POSITIONS)
     ]
     texts += _FIXED
-    texts += [
-        "-" * negative + _DIGITS[len(_DIGITS) - n_digits :] if n_digits else ""
-        for negative in (0, 1)
-        for n_digits in range(len(_DIGITS) + 1)
-    ]
     source = np.zeros(128, dtype=np.intp)
     for i, ch in reversed(list(enumerate(_SOURCE))):
         source[ord(ch)] = i
@@ -184,7 +176,6 @@ def _tables() -> _Tables:
         groups=np.frombuffer(groups.encode("ascii"), dtype=np.uint32).copy(),
         position=position.astype(np.intp),
         layout=source[np.frombuffer(layout, dtype=np.uint8)].reshape(-1, _WIDTH),
-        length=np.array([len(text) for text in texts], dtype=np.intp),
         offsets=np.repeat(offsets, _WIDTH).reshape(_BLOCK, _WIDTH),
     )
     for table in tables:  # shared by every caller
@@ -259,44 +250,24 @@ def _shortest(
     return f, row + (_K_MIN + shorter)
 
 
-def format_bytes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def format_bytes(a: np.ndarray) -> np.ndarray:
     """The ASCII text of ``repr`` of each float of a one-dimensional float64 array.
 
-    Returns ``(text, lengths)``: ``text`` is a (len(a), 25) uint8 array
-    whose row i holds the ``lengths[i]`` characters of value i, then NUL
-    bytes to the end of the row, at least one.
+    Returns a (len(a), 25) uint8 array whose row i holds the characters of
+    value i, then NUL bytes to the end of the row, at least one.
     """
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
     if bits.ndim != 1:
         raise ValueError(f"format_bytes takes a one-dimensional array, got shape {bits.shape}")
-    return _text(bits, _float_block)
-
-
-def format_ints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``str`` of each integer of a one-dimensional integer array, laid out as ``format_bytes``.
-
-    Every magnitude must be below 10**17.
-    """
-    values = np.asarray(a)
-    if values.ndim != 1 or values.dtype.kind not in "iu":
-        raise ValueError(f"format_ints takes a one-dimensional integer array, got {values.dtype} {values.shape}")
-    if values.size and (values.max() > _INT_MAX or values.min() < -_INT_MAX):
-        raise ValueError(f"format_ints takes integers below 1e{len(_DIGITS)} in magnitude")
-    return _text(values.astype(np.int64), _int_block)
-
-
-def _text(values: np.ndarray, block: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     tables, buffers = _tables(), _buffers()
-    text = np.empty((len(values), _WIDTH), dtype=np.uint8)
-    lengths = np.empty(len(values), dtype=np.intp)
-    for start in range(0, len(values), _BLOCK):
+    text = np.empty((len(bits), _WIDTH), dtype=np.uint8)
+    for start in range(0, len(bits), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        key = block(values[rows], tables, buffers, text[rows])
-        tables.length.take(key, out=lengths[rows])
-    return text, lengths
+        _float_block(bits[rows], tables, buffers, text[rows])
+    return text
 
 
-def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> np.ndarray:
+def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> None:
     magnitude = bits & _ABS
     # 0, inf and nan; magnitude - 1 takes 0 to the top
     special = np.flatnonzero(magnitude - _U64(1) >= _INF - _U64(1))
@@ -324,19 +295,10 @@ def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.
         fixed = np.where(magnitude > _INF, 4, np.where(magnitude == _INF, 2, 0) + negative)
         key[special] = 2 * _SIGN_KEYS + fixed
     _render(f, np.abs(decpt - 1), key, tables, buffers, text)
-    return key
-
-
-def _int_block(values: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> np.ndarray:
-    f = np.abs(values).view(np.uint64)
-    n_digits = np.maximum(np.searchsorted(tables.pow10, f, side="right"), 1)
-    key = _INT_KEYS + (values < 0) * (len(_DIGITS) + 1) + n_digits
-    _render(f, 0, key, tables, buffers, text)
-    return key
 
 
 def _render(
-    f: np.ndarray, exponent: np.ndarray | int, key: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray
+    f: np.ndarray, exponent: np.ndarray, key: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray
 ) -> None:
     """Write layout ``key`` of digits ``f`` < 10**17 and exponent digits ``exponent`` < 1000 to ``text``.
 

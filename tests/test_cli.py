@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -234,6 +235,25 @@ class TestWriteTable:
         for b in (0, 9, 10, 99, 100, 9999, 10000, 65535):
             assert lines[b].startswith(f"{b},")
         assert len(format_bytes_calls) == n_blocks(65536)
+
+    @pytest.mark.parametrize(
+        "column",
+        [range(10**n - 2, 10**n + 2) for n in range(18)]
+        + [range(5, -6, -1), range(-7, 50, 3), range(-3, cli._BLOCK_ROWS + 5)],
+        ids=str,
+    )
+    def test_range_cells_are_str_of_each_value(self, tmp_path, format_bytes_calls, column):
+        # ranges at digit boundaries, down through 0, with a step above 1 and
+        # longer than a block, in the first and the last column
+        table = {"bin": column, "x": np.zeros(len(column)), "again": column}
+        reference = tmp_path / "reference.csv"
+        cli._write_table(str(reference), "demo", {}, {"bin": list(column), "x": [0.0] * len(column), "again": list(column)})
+        assert format_bytes_calls == []
+        out = tmp_path / "t.csv"
+        cli._write_table(str(out), "demo", {}, table)
+        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == [f"{i},0.0,{i}" for i in column]
+        assert len(format_bytes_calls) == n_blocks(len(column))
 
     @staticmethod
     def row_wise(table):
@@ -560,6 +580,16 @@ class TestOutputClashes:
         if existing:
             assert (tmp_path / "p.txt").read_bytes() == b"old\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == (["p.txt"] if existing else [])
+
+    def test_unwritable_second_scheme_file_keeps_the_first(self, tmp_path, capsys):
+        # the ook path is a directory: the run fails before the ppm table is written
+        (tmp_path / "x_ppm.csv").write_text("old\n", encoding="utf-8")
+        (tmp_path / "x_ook.csv").mkdir()
+        argv = ["pie-sweep", "--scheme", "both", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv + ["--na-grid", "1e-3", "1e-2", "2", "--n-b", "0.01"]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert (tmp_path / "x_ppm.csv").read_bytes() == b"old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x_ook.csv", "x_ppm.csv"]
 
     def test_scheme_files_that_are_one_file_are_refused(self, tmp_path, capsys):
         # the ook file links to the ppm file, which the ook table would replace
@@ -1324,13 +1354,66 @@ class TestReceiverCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_keeps_a_file_it_did_not_create(self, tmp_path, capsys):
-        # the pattern overwrites a file that was there, which stays
+        # the file that was there keeps its bytes
         pattern_path = tmp_path / "p.txt"
         pattern_path.write_text("old\n", encoding="utf-8")
         argv = ["receiver", "--pattern-out", str(pattern_path), "--out", str(tmp_path / "nodir" / "rx.csv")]
         assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["p.txt"]
-        assert load_pattern(str(pattern_path)).shape == (2, 8)
+        assert pattern_path.read_bytes() == b"old\n"
+
+    def test_unwritable_pattern_keeps_the_table_that_was_there(self, tmp_path, capsys):
+        table_path = tmp_path / "rx.csv"
+        table_path.write_text("old\n", encoding="utf-8")
+        argv = ["receiver", "--pattern-out", str(tmp_path / "nodir" / "p.txt"), "--out", str(table_path)]
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["rx.csv"]
+        assert table_path.read_bytes() == b"old\n"
+
+    def test_failed_run_removes_the_file_a_dangling_link_named(self, tmp_path, capsys):
+        (tmp_path / "rx.csv").symlink_to("target.csv")
+        argv = ["receiver", "--out", str(tmp_path / "rx.csv"), "--pattern-out", str(tmp_path / "nodir" / "p.txt")]
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["rx.csv"]
+        assert not (tmp_path / "rx.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+    def test_named_pipe_as_out_receives_the_whole_table(self, tmp_path):
+        # with a second output the run opens its outputs before it writes;
+        # the pipe is opened once, by the writer: an earlier open and close
+        # would end the reader's stream and leave the writer waiting for another
+        pattern = tmp_path / "p.txt"
+        argv = ["receiver", "--k", "5", "--phase-sigma", "0.1", "--pattern-out", str(pattern)]
+        reference = tmp_path / "rx.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", str(reference)]) == 0
+        want_pattern = pattern.read_bytes()
+        pattern.unlink()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "photonlink.cli", *argv, "--out", str(fifo)],
+                env=env, timeout=60, capture_output=True,
+            )
+        finally:
+            # a reader still waiting for a writer gets an empty stream
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert done.returncode == 0, done.stderr
+        assert received == [reference.read_bytes()]
+        assert pattern.read_bytes() == want_pattern
 
     def test_oversized_k_is_refused(self, tmp_path, capsys):
         code = cli.main(["receiver", "--k", "17", "--out", str(tmp_path / "rx.csv")])

@@ -18,31 +18,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink import floatfmt
-from photonlink.floatfmt import format_bytes, format_ints
+from photonlink.floatfmt import format_bytes
 
 
-def assert_text(text, lengths, want):
-    """``format_bytes``' layout: row i is want[i] in ASCII, then at least one NUL."""
+def assert_text(text, want):
+    """``format_bytes``' layout: row i is want[i] in ASCII, then NUL to the end of the row, the last byte included."""
     assert text.dtype == np.uint8 and text.shape == (len(want), floatfmt._WIDTH)
-    assert lengths.tolist() == [len(w) for w in want]
-    assert text.view(f"S{floatfmt._WIDTH}").reshape(-1).tolist() == [w.encode("ascii") for w in want]
-    assert not text[np.arange(floatfmt._WIDTH) >= lengths[:, None]].any()
+    assert text.tobytes() == b"".join(w.encode("ascii").ljust(floatfmt._WIDTH, b"\0") for w in want)
+    assert not text[:, -1].any()
 
 
-def decoded(a):
-    """``format_bytes`` of ``a`` as a list of ``str``, the NUL padding dropped."""
-    text, _ = format_bytes(a)
+def decoded(text):
+    """The rows of a ``format_bytes`` array as a list of ``str``, the NUL padding dropped."""
     return text.view(f"S{floatfmt._WIDTH}").reshape(-1).astype(f"U{floatfmt._WIDTH}").tolist()
 
 
 def assert_repr(a):
     a = np.asarray(a, dtype=np.float64)
-    got = decoded(a)
+    text = format_bytes(a)
+    got = decoded(text)
     want = [repr(x) for x in a.tolist()]
     assert len(got) == len(want)
     wrong = [(x, g, w) for x, g, w in zip(a.tolist(), got, want) if g != w]
     assert not wrong, f"{len(wrong)} of {len(want)} differ, first: {wrong[:5]}"
-    assert_text(*format_bytes(a), want)
+    assert_text(text, want)
 
 
 def with_negatives(a):
@@ -93,7 +92,7 @@ def test_zeros_infinities_and_nans():
         dtype=np.uint64,
     ).view(np.float64)
     values = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 1.0], payloads])
-    assert decoded(values) == ["0.0", "-0.0", "inf", "-inf", "1.0"] + ["nan"] * len(payloads)
+    assert decoded(format_bytes(values)) == ["0.0", "-0.0", "inf", "-inf", "1.0"] + ["nan"] * len(payloads)
 
 
 def test_layout_switch_points():
@@ -110,7 +109,7 @@ def test_extremes():
 
 
 def test_empty_and_block_edges():
-    assert_text(*format_bytes(np.array([], dtype=np.float64)), [])
+    assert_text(format_bytes(np.array([], dtype=np.float64)), [])
     values = np.random.default_rng(7).standard_normal(2 * floatfmt._BLOCK + 1)
     for n in (1, floatfmt._BLOCK - 1, floatfmt._BLOCK, floatfmt._BLOCK + 1, len(values)):
         assert_repr(values[:n])
@@ -119,7 +118,7 @@ def test_empty_and_block_edges():
 def test_non_contiguous_and_other_float_input():
     values = np.random.default_rng(8).standard_normal(100)
     assert_repr(values[::3])
-    assert decoded(np.float32([0.1, 2.5])) == [repr(x) for x in np.float32([0.1, 2.5]).tolist()]
+    assert decoded(format_bytes(np.float32([0.1, 2.5]))) == [repr(x) for x in np.float32([0.1, 2.5]).tolist()]
 
 
 def test_two_dimensional_input_is_refused():
@@ -129,58 +128,35 @@ def test_two_dimensional_input_is_refused():
 
 def test_threads_get_their_own_buffers():
     # numpy lets go of the interpreter lock inside a block's gathers, so
-    # threads that shared the block buffers would mix up their texts; the
-    # float and the integer texts alternate between tasks
+    # threads that shared the block buffers would mix up their texts; tasks
+    # alternate between two sets of floats, of near and of extreme scales
     rng = np.random.default_rng(11)
-    floats = [rng.standard_normal(floatfmt._BLOCK + 100) * 10.0 ** rng.integers(-30, 30) for _ in range(6)]
-    ints = [rng.integers(-floatfmt._INT_MAX, floatfmt._INT_MAX, floatfmt._BLOCK + 100) for _ in range(6)]
+    scales = ((-30, 30), (-320, 300))
+    floats = [rng.standard_normal(floatfmt._BLOCK + 100) * 10.0 ** rng.integers(*scales[i % 2]) for i in range(12)]
     want = [[repr(x) for x in a.tolist()] for a in floats]
-    want_ints = [[str(v) for v in a.tolist()] for a in ints]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [
-                pool.submit(format_ints, ints[i % 6]) if i % 2 else pool.submit(format_bytes, floats[i % 6])
-                for i in range(24)
-            ]
+            futures = [pool.submit(format_bytes, floats[i % 12]) for i in range(24)]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     for i, result in enumerate(results):
-        assert_text(*result, (want_ints if i % 2 else want)[i % 6])
-
-
-def test_ints_at_digit_boundaries():
-    powers = [10**n for n in range(17)]
-    values = sorted({0, 65535, floatfmt._INT_MAX} | {p + d for p in powers for d in (-1, 0, 1)})
-    values = np.array(values + [-v for v in values if v])
-    for dtype in (np.int64, np.int32, np.uint16):
-        fits = values[(values >= np.iinfo(dtype).min) & (values <= np.iinfo(dtype).max)]
-        assert_text(*format_ints(fits.astype(dtype)), [str(v) for v in fits.tolist()])
-    assert_text(*format_ints(np.arange(3 * floatfmt._BLOCK + 1)), [str(v) for v in range(3 * floatfmt._BLOCK + 1)])
-    assert_text(*format_ints(np.array([], dtype=np.int64)), [])
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        np.array([floatfmt._INT_MAX + 1]),
-        np.array([-floatfmt._INT_MAX - 1]),
-        np.array([2**64 - 1], dtype=np.uint64),
-        np.array([1.0]),
-        np.zeros((2, 2), dtype=np.int64),
-    ],
-)
-def test_ints_out_of_range_or_not_integers_are_refused(values):
-    with pytest.raises(ValueError):
-        format_ints(values)
+        assert_text(result, want[i % 12])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 def test_hypothesis_floats(values):
-    assert decoded(np.array(values, dtype=np.float64)) == [repr(x) for x in values]
+    assert decoded(format_bytes(np.array(values, dtype=np.float64))) == [repr(x) for x in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_hypothesis_bit_patterns_leave_the_last_byte_nul(bits):
+    # the CSV writer puts each cell's separator into that byte
+    assert_repr(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
 def floor_log10(x: Fraction) -> int:

@@ -44,6 +44,7 @@ RETIRED = {
     "_check_n_a": "noise._checked checks every array input",
     "_check_photon_numbers": "noise._checked checks every number",
     "_checked_sigma": "noise._checked checks every number",
+    "format_ints": "the CSV writer casts a range column's integers to bytes with numpy",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)
