@@ -16,14 +16,13 @@ code runs.
 
 A call runs about a hundred numpy operations per block of 4096 values, so
 on a few hundred values it costs more than ``repr``.  The tables are built
-on the first call, not at import, and each thread that calls keeps about
-1.3 MB of buffers.
+on the first call, not at import, and are the only state shared between
+calls.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -77,34 +76,6 @@ class _Tables(NamedTuple):
     groups: np.ndarray
     position: np.ndarray  # (661,) intp: layout position by decpt - _DECPT_LOW
     layout: np.ndarray  # (keys, _WIDTH) intp: _SOURCE index of each character
-    offsets: np.ndarray  # (_BLOCK, _WIDTH) intp: the start of each value's source characters
-
-
-class _Buffers(NamedTuple):
-    groups: np.ndarray  # (_BLOCK, _GROUPS) intp: group numbers of the source characters
-    source: np.ndarray  # (_BLOCK, _GROUPS) uint32: the source characters
-    index: np.ndarray  # (_BLOCK, _WIDTH) intp: source index of each text character
-
-
-_local = threading.local()
-
-
-def _buffers() -> _Buffers:
-    """This thread's working buffers of a block, about 1.3 MB.
-
-    A block reuses them: fresh arrays of this size would fault in new pages
-    on every call, which costs more than filling them.
-    """
-    buffers = getattr(_local, "buffers", None)
-    if buffers is None:
-        groups = np.empty((_BLOCK, _GROUPS), dtype=np.intp)
-        groups[:, _GROUPS - len(_CONSTANT_GROUPS) :] = np.arange(10_000, 10_000 + len(_CONSTANT_GROUPS))
-        buffers = _local.buffers = _Buffers(
-            groups=groups,
-            source=np.empty((_BLOCK, _GROUPS), dtype=np.uint32),
-            index=np.empty((_BLOCK, _WIDTH), dtype=np.intp),
-        )
-    return buffers
 
 
 def _layout(n_digits: int, position: int) -> str:
@@ -164,7 +135,6 @@ def _tables() -> _Tables:
         source[ord(ch)] = i
     layout = "".join(text.ljust(_WIDTH, "\0") for text in texts).encode("ascii")
     groups = "".join(f"{i:04d}" for i in range(10_000)) + "".join(_CONSTANT_GROUPS)
-    offsets = np.arange(0, _BLOCK * len(_SOURCE), len(_SOURCE), dtype=np.intp)
     tables = _Tables(
         g=np.array(limbs, dtype=np.uint64),
         row=row.astype(np.intp),
@@ -176,7 +146,6 @@ def _tables() -> _Tables:
         groups=np.frombuffer(groups.encode("ascii"), dtype=np.uint32).copy(),
         position=position.astype(np.intp),
         layout=source[np.frombuffer(layout, dtype=np.uint8)].reshape(-1, _WIDTH),
-        offsets=np.repeat(offsets, _WIDTH).reshape(_BLOCK, _WIDTH),
     )
     for table in tables:  # shared by every caller
         table.flags.writeable = False
@@ -259,15 +228,15 @@ def format_bytes(a: np.ndarray) -> np.ndarray:
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
     if bits.ndim != 1:
         raise ValueError(f"format_bytes takes a one-dimensional array, got shape {bits.shape}")
-    tables, buffers = _tables(), _buffers()
+    tables = _tables()
     text = np.empty((len(bits), _WIDTH), dtype=np.uint8)
     for start in range(0, len(bits), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        _float_block(bits[rows], tables, buffers, text[rows])
+        _float_block(bits[rows], tables, text[rows])
     return text
 
 
-def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray) -> None:
+def _float_block(bits: np.ndarray, tables: _Tables, text: np.ndarray) -> None:
     magnitude = bits & _ABS
     # 0, inf and nan; magnitude - 1 takes 0 to the top
     special = np.flatnonzero(magnitude - _U64(1) >= _INF - _U64(1))
@@ -294,21 +263,20 @@ def _float_block(bits: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.
         magnitude, negative = bits[special] & _ABS, (bits[special] >> _U64(63)).astype(np.intp)
         fixed = np.where(magnitude > _INF, 4, np.where(magnitude == _INF, 2, 0) + negative)
         key[special] = 2 * _SIGN_KEYS + fixed
-    _render(f, np.abs(decpt - 1), key, tables, buffers, text)
+    _render(f, np.abs(decpt - 1), key, tables, text)
 
 
-def _render(
-    f: np.ndarray, exponent: np.ndarray, key: np.ndarray, tables: _Tables, buffers: _Buffers, text: np.ndarray
-) -> None:
+def _render(f: np.ndarray, exponent: np.ndarray, key: np.ndarray, tables: _Tables, text: np.ndarray) -> None:
     """Write layout ``key`` of digits ``f`` < 10**17 and exponent digits ``exponent`` < 1000 to ``text``.
 
     The group numbers are written, through a uint64 view, into the columns
-    of the contiguous (n, 9) intp buffer that the group gather takes as its
+    of the contiguous (n, 9) intp array that the group gather takes as its
     index as it is.  ``f`` is overwritten.
     """
     # the 17 digits, right aligned, and the 3 digits of |exponent|, in groups of 4
     n = len(f)
-    groups = buffers.groups[:n]
+    groups = np.empty((n, _GROUPS), dtype=np.intp)
+    groups[:, _GROUPS - len(_CONSTANT_GROUPS) :] = np.arange(10_000, 10_000 + len(_CONSTANT_GROUPS))
     digits = groups.view(np.uint64)
     np.floor_divide(f, tables.pow10[16], out=digits[:, 0])
     f -= digits[:, 0] * tables.pow10[16]
@@ -319,7 +287,7 @@ def _render(
         np.subtract(half, digits[:, column] * _U64(10_000), out=digits[:, column + 1])
     digits[:, 5] = exponent
     # every index below is in range by construction, so take may clip
-    source = tables.groups.take(groups, out=buffers.source[:n], mode="clip")
-    index = tables.layout.take(key, axis=0, out=buffers.index[:n], mode="clip")
-    index += tables.offsets[:n]
+    source = tables.groups.take(groups, mode="clip")
+    index = tables.layout.take(key, axis=0, mode="clip")
+    index += np.arange(0, n * len(_SOURCE), len(_SOURCE))[:, None]
     source.view(np.uint8).reshape(-1).take(index, out=text, mode="clip")

@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
+from .capacity import LOG2_E
 from .noise import NoiseModel, _checked, _click_params
 
 # smallest positive float: max(q, _TINY) is q for every q > 0
 _TINY = math.ulp(0.0)
-_LOG2_E = 1.0 / math.log(2.0)
 # Below _SERIES_T a term comes from 6 terms of the series of phi(t) / t^2 or
 # g(t) / t^2 (see _information), < 4e-15 relative off; above it log1p(t)
 # costs about 1e-15 / t.  Highest power first, shaped for (2, h, points).
@@ -82,7 +82,7 @@ def _ppm_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
     base = np.empty((2, 1) + k.shape)
     wrong = np.divide(m_1 * np.exp(log_w) * p_b, p_p_safe, out=base[1, 0])
     np.divide(1.0 + wrong, m, out=base[0, 0])
-    return p_p * np.exp(m_1 * log_c_b) * _information(base, k) * (_LOG2_E / m)
+    return p_p * np.exp(m_1 * log_c_b) * _information(base, k) * (LOG2_E / m)
 
 
 def _ook_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
@@ -104,7 +104,7 @@ def _ook_mi(m: np.ndarray, n_a: np.ndarray, clicks) -> np.ndarray:
     np.multiply(p_off, p_b, out=off_click)
     np.multiply(p_on, p_b + on_gap, out=base[0, 0])
     np.multiply(p_off, on_dark + p_off * c_b, out=base[0, 1])
-    return _information(base, k) * _LOG2_E
+    return _information(base, k) * LOG2_E
 
 
 def _mi_per_bin(kernel, m_min: float, m, n_a, model: NoiseModel):

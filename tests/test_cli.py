@@ -1372,6 +1372,22 @@ class TestReceiverCommand:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["rx.csv"]
         assert table_path.read_bytes() == b"old\n"
 
+    def test_write_that_fails_partway_removes_the_file_it_created(self, tmp_path, monkeypatch, capsys):
+        # k = 14 writes two blocks; the second fails as a full disk would
+        block_bytes, calls = cli._block_bytes, []
+
+        def full_disk(columns, rows):
+            calls.append(rows)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return block_bytes(columns, rows)
+
+        monkeypatch.setattr(cli, "_block_bytes", full_disk)
+        assert cli.main(["receiver", "--k", "14", "--out", str(tmp_path / "new.csv")]) == 2
+        assert len(calls) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_removes_the_file_a_dangling_link_named(self, tmp_path, capsys):
         (tmp_path / "rx.csv").symlink_to("target.csv")
         argv = ["receiver", "--out", str(tmp_path / "rx.csv"), "--pattern-out", str(tmp_path / "nodir" / "p.txt")]

@@ -126,9 +126,9 @@ def test_two_dimensional_input_is_refused():
         format_bytes(np.zeros((2, 2)))
 
 
-def test_threads_get_their_own_buffers():
+def test_concurrent_calls_each_get_their_own_text():
     # numpy lets go of the interpreter lock inside a block's gathers, so
-    # threads that shared the block buffers would mix up their texts; tasks
+    # calls that shared work arrays would mix up their texts; tasks
     # alternate between two sets of floats, of near and of extreme scales
     rng = np.random.default_rng(11)
     scales = ((-30, 30), (-320, 300))

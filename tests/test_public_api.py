@@ -45,6 +45,10 @@ RETIRED = {
     "_check_photon_numbers": "noise._checked checks every number",
     "_checked_sigma": "noise._checked checks every number",
     "format_ints": "the CSV writer casts a range column's integers to bytes with numpy",
+    "_buffers": "floatfmt allocates a block's work arrays as numpy temporaries",
+    "_Buffers": "floatfmt allocates a block's work arrays as numpy temporaries",
+    "_local": "floatfmt keeps no per-thread state; its read-only tables are shared",
+    "_LOG2_E": "modulation imports capacity.LOG2_E",
 }
 MODULES = [photonlink] + [
     importlib.import_module(info.name)

@@ -644,6 +644,17 @@ class TestPatternIO:
         with pytest.raises(PatternFormatError, match="columns"):
             load_pattern(str(path))
 
+    def test_malformed_row_rejected_with_its_line(self, tmp_path):
+        # line 4 holds the second data row, after the two header lines
+        path = tmp_path / "malformed.txt"
+        save_pattern(str(path), make_pattern(1, 0, 1.0))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[3].split()
+        lines[3] = " ".join(fields[:2] + ["x"] + fields[3:]) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(PatternFormatError, match=re.escape(f"{path}:4: malformed row")):
+            load_pattern(str(path))
+
     def test_header_energy_must_match_rows(self, tmp_path):
         path = tmp_path / "energy.txt"
         path.write_text(
